@@ -7,7 +7,8 @@
 //! * `log_append`      — Algorithm 1 (fill + group commit) per write size;
 //! * `read_path`       — read-cache hit vs miss vs dirty-miss;
 //! * `radix`           — descriptor lookup/creation;
-//! * `recovery`        — replay cost per log entry;
+//! * `nvmm`            — crash image of an unpropagated log region;
+//! * `recovery`        — recover mount + replay of a crashed log;
 //! * `engines`         — rocklet put / sqlight insert over tmpfs;
 //! * `page_cache`      — write-combining in the kernel page cache model.
 
@@ -131,34 +132,53 @@ fn bench_radix(c: &mut Criterion) {
     g.finish();
 }
 
+/// A DIMM holding 1024 committed 512 B log entries that no cleanup has
+/// propagated, as a crash would find it, plus what a recover mount needs.
+fn unpropagated_log() -> (Arc<NvDimm>, Arc<dyn FileSystem>, NvCacheConfig, ActorClock) {
+    let clock = ActorClock::new();
+    let cfg = NvCacheConfig {
+        nb_entries: 2048,
+        batch_min: usize::MAX >> 1,
+        batch_max: usize::MAX >> 1,
+        ..NvCacheConfig::tiny()
+    };
+    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
+    let inner: Arc<dyn FileSystem> = Arc::new(MemFs::new());
+    let cache = NvCache::builder(NvRegion::whole(Arc::clone(&dimm)))
+        .backend(Arc::clone(&inner))
+        .config(cfg.clone())
+        .mount(&clock)
+        .unwrap();
+    let fd = cache.open("/r", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
+    for i in 0..1024u64 {
+        cache.pwrite(fd, &[i as u8; 512], i * 512, &clock).unwrap();
+    }
+    cache.abort();
+    (dimm, inner, cfg, clock)
+}
+
+fn bench_nvmm(c: &mut Criterion) {
+    let mut g = c.benchmark_group("nvmm");
+    g.bench_function("crash_and_restart", |b| {
+        b.iter_batched(
+            unpropagated_log,
+            // The input is handed back so its teardown is not timed.
+            |log| (log.0.crash_and_restart(), log),
+            BatchSize::LargeInput,
+        )
+    });
+    g.finish();
+}
+
 fn bench_recovery(c: &mut Criterion) {
     let mut g = c.benchmark_group("recovery");
-    g.bench_function("replay_1k_entries", |b| {
+    g.bench_function("mount_replay_1k", |b| {
         b.iter_batched(
             || {
-                let clock = ActorClock::new();
-                let cfg = NvCacheConfig {
-                    nb_entries: 2048,
-                    batch_min: usize::MAX >> 1,
-                    batch_max: usize::MAX >> 1,
-                    ..NvCacheConfig::tiny()
-                };
-                let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
-                let inner: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-                let cache = NvCache::builder(NvRegion::whole(Arc::clone(&dimm)))
-                    .backend(Arc::clone(&inner))
-                    .config(cfg.clone())
-                    .mount(&clock)
-                    .unwrap();
-                let fd = cache.open("/r", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
-                for i in 0..1024u64 {
-                    cache.pwrite(fd, &[i as u8; 512], i * 512, &clock).unwrap();
-                }
-                cache.abort();
-                (dimm, inner, cfg, clock)
+                let (dimm, inner, cfg, clock) = unpropagated_log();
+                (Arc::new(dimm.crash_and_restart()), inner, cfg, clock)
             },
-            |(dimm, inner, cfg, clock)| {
-                let crashed = Arc::new(dimm.crash_and_restart());
+            |(crashed, inner, cfg, clock)| {
                 let cache = NvCache::builder(NvRegion::whole(crashed))
                     .backend(inner)
                     .config(cfg)
@@ -167,7 +187,8 @@ fn bench_recovery(c: &mut Criterion) {
                     .unwrap();
                 let report = cache.recovery_report().expect("recover mode");
                 assert_eq!(report.entries_replayed, 1024);
-                cache.abort();
+                // Returned so the mount's teardown is not timed.
+                cache
             },
             BatchSize::LargeInput,
         )
@@ -228,6 +249,7 @@ criterion_group!(
     bench_log_append,
     bench_read_path,
     bench_radix,
+    bench_nvmm,
     bench_recovery,
     bench_engines,
     bench_page_cache

@@ -158,7 +158,7 @@ impl System {
 }
 
 fn nvmm_profile() -> NvmmProfile {
-    // Benchmarks don't crash-test; skip the durable shadow to halve RAM.
+    // Benchmarks don't crash-test; skip saving dirty lines' pre-images.
     NvmmProfile::optane().without_durability_tracking()
 }
 

@@ -1,7 +1,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -16,6 +16,9 @@ use crate::{NvmmProfile, NvmmStats};
 /// Size of a CPU cache line; flushes happen at this granularity.
 pub const CACHE_LINE: u64 = 64;
 
+/// Words of the live image per cache line.
+const LINE_WORDS: usize = CACHE_LINE as usize / 8;
+
 /// Global id source so per-thread flush queues can be keyed per DIMM.
 static NEXT_DIMM_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -27,9 +30,11 @@ thread_local! {
 
 /// A simulated NVMM module.
 ///
-/// Maintains a *live* image (CPU caches + media, what loads observe) and a
-/// *durable* image (what survives [`crash`](NvDimm::crash)). See the crate
-/// docs for the persistency contract.
+/// Maintains a *live* image (CPU caches + media, what loads observe) and,
+/// as an overlay on it, what would survive a crash: a clean line's durable
+/// bytes always equal its live bytes, and a dirty line's durable bytes are
+/// its *pre-image*, saved by the first store after the line was last
+/// flushed. See the crate docs for the persistency contract.
 ///
 /// All methods take `&self` and are safe to call from multiple threads; the
 /// flush queue filled by [`pwb`](NvDimm::pwb) and drained by
@@ -44,10 +49,19 @@ thread_local! {
 /// flusher is always the application thread.
 pub struct NvDimm {
     id: u64,
-    live: Box<[AtomicU8]>,
-    /// Durable shadow; `None` when the profile disables durability tracking.
-    durable: Option<Mutex<Box<[u8]>>>,
-    /// One bit per cache line: set when live may differ from durable.
+    len: u64,
+    /// Live image as little-endian words (byte `i` is byte `i % 8` of word
+    /// `i / 8`); bytes past `len` in the last word stay zero. Accesses are
+    /// `Relaxed`: they publish nothing, callers order cross-thread use with
+    /// their own locks, and the `pre_images` lock orders a line's pre-image
+    /// capture after the flush that last cleaned it.
+    live: Box<[AtomicU64]>,
+    /// Pre-image of every dirty line; `None` when the profile disables
+    /// durability tracking.
+    pre_images: Option<Mutex<HashMap<u64, [u64; LINE_WORDS]>>>,
+    /// One bit per cache line: set while live may differ from durable.
+    /// With durability tracking, bits change only under the `pre_images`
+    /// lock, so a set bit always has a saved pre-image.
     dirty: Box<[AtomicU64]>,
     profile: NvmmProfile,
     stats: NvmmStats,
@@ -61,8 +75,60 @@ impl fmt::Debug for NvDimm {
         f.debug_struct("NvDimm")
             .field("id", &self.id)
             .field("len", &self.len())
-            .field("tracks_durability", &self.durable.is_some())
+            .field("tracks_durability", &self.pre_images.is_some())
             .finish()
+    }
+}
+
+/// Stores `data` into `words` at byte offset `off`. Whole words are plain
+/// stores; a partial head or tail word is merged with a read-modify-write
+/// so concurrent writers of its other bytes never lose updates.
+fn store_bytes(words: &[AtomicU64], off: usize, data: &[u8]) {
+    let head = if off.is_multiple_of(8) { 0 } else { (8 - off % 8).min(data.len()) };
+    let (first, rest) = data.split_at(head);
+    if !first.is_empty() {
+        merge_word(&words[off / 8], off % 8, first);
+    }
+    let start = (off + head) / 8;
+    let mut chunks = rest.chunks_exact(8);
+    for (w, chunk) in words[start..].iter().zip(&mut chunks) {
+        let mut b = [0u8; 8];
+        b.copy_from_slice(chunk);
+        w.store(u64::from_le_bytes(b), Ordering::Relaxed);
+    }
+    let tail = chunks.remainder();
+    if !tail.is_empty() {
+        merge_word(&words[start + rest.len() / 8], 0, tail);
+    }
+}
+
+/// Replaces bytes `at..at + bytes.len()` of one word, leaving the rest.
+fn merge_word(word: &AtomicU64, at: usize, bytes: &[u8]) {
+    let mut b = [0u8; 8];
+    b[at..at + bytes.len()].copy_from_slice(bytes);
+    let value = u64::from_le_bytes(b);
+    let mask = (u64::MAX >> (64 - 8 * bytes.len())) << (8 * at);
+    let _ = word.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |w| Some(w & !mask | value));
+}
+
+/// Loads `buf.len()` bytes of `words` starting at byte offset `off`.
+fn load_bytes(words: &[AtomicU64], off: usize, buf: &mut [u8]) {
+    let head = if off.is_multiple_of(8) { 0 } else { (8 - off % 8).min(buf.len()) };
+    let (first, rest) = buf.split_at_mut(head);
+    if !first.is_empty() {
+        let b = words[off / 8].load(Ordering::Relaxed).to_le_bytes();
+        first.copy_from_slice(&b[off % 8..off % 8 + head]);
+    }
+    let start = (off + head) / 8;
+    let tail_word = start + rest.len() / 8;
+    let mut chunks = rest.chunks_exact_mut(8);
+    for (w, chunk) in words[start..].iter().zip(&mut chunks) {
+        chunk.copy_from_slice(&w.load(Ordering::Relaxed).to_le_bytes());
+    }
+    let tail = chunks.into_remainder();
+    if !tail.is_empty() {
+        let b = words[tail_word].load(Ordering::Relaxed).to_le_bytes();
+        tail.copy_from_slice(&b[..tail.len()]);
     }
 }
 
@@ -74,19 +140,22 @@ impl NvDimm {
     /// Panics if `size` is zero.
     pub fn new(size: u64, profile: NvmmProfile) -> Self {
         assert!(size > 0, "NvDimm size must be positive");
-        let n = size as usize;
-        let mut live = Vec::with_capacity(n);
-        live.resize_with(n, || AtomicU8::new(0));
-        let lines = size.div_ceil(CACHE_LINE);
-        let words = lines.div_ceil(64) as usize;
-        let mut dirty = Vec::with_capacity(words);
-        dirty.resize_with(words, || AtomicU64::new(0));
-        let durable = profile.track_durability.then(|| Mutex::new(vec![0u8; n].into_boxed_slice()));
+        let live = (0..size.div_ceil(8)).map(|_| AtomicU64::new(0)).collect();
+        Self::from_words(live, size, profile)
+    }
+
+    /// A DIMM of `len` bytes whose live image is `live` and whose lines are
+    /// all clean, i.e. durable as they stand.
+    fn from_words(live: Box<[AtomicU64]>, len: u64, profile: NvmmProfile) -> Self {
+        let lines = len.div_ceil(CACHE_LINE);
+        let dirty = (0..lines.div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
+        let pre_images = profile.track_durability.then(|| Mutex::new(HashMap::new()));
         NvDimm {
             id: NEXT_DIMM_ID.fetch_add(1, Ordering::Relaxed),
-            live: live.into_boxed_slice(),
-            durable,
-            dirty: dirty.into_boxed_slice(),
+            len,
+            live,
+            pre_images,
+            dirty,
             profile,
             stats: NvmmStats::default(),
             #[cfg(feature = "pmcheck")]
@@ -94,26 +163,14 @@ impl NvDimm {
         }
     }
 
-    /// Creates a DIMM whose live *and* durable images start as `image`.
-    pub fn from_image(image: &[u8], profile: NvmmProfile) -> Self {
-        let dimm = Self::new(image.len() as u64, profile);
-        for (i, b) in image.iter().enumerate() {
-            dimm.live[i].store(*b, Ordering::Relaxed);
-        }
-        if let Some(d) = &dimm.durable {
-            d.lock().copy_from_slice(image);
-        }
-        dimm
-    }
-
     /// Capacity in bytes.
     pub fn len(&self) -> u64 {
-        self.live.len() as u64
+        self.len
     }
 
     /// Whether the DIMM has zero capacity (never true; kept for API symmetry).
     pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
+        self.len == 0
     }
 
     /// The latency profile in use.
@@ -133,16 +190,38 @@ impl NvDimm {
         assert!(end <= self.len(), "NVMM access out of range: {off}..{end} beyond {}", self.len());
     }
 
+    /// The dirty-bitmap word holding `line`'s bit, and that bit.
+    fn dirty_bit(&self, line: u64) -> (&AtomicU64, u64) {
+        (&self.dirty[(line / 64) as usize], 1 << (line % 64))
+    }
+
+    /// Marks the lines covering `off..off+len` dirty. A line that was clean
+    /// first gets its pre-image saved, so this must run before the store.
     fn mark_dirty(&self, off: u64, len: usize) {
         if len == 0 {
             return;
         }
         let first = off / CACHE_LINE;
         let last = (off + len as u64 - 1) / CACHE_LINE;
+        let mut pre_images = None;
         for line in first..=last {
-            let word = (line / 64) as usize;
-            let bit = 1u64 << (line % 64);
-            self.dirty[word].fetch_or(bit, Ordering::Relaxed);
+            let (bits, bit) = self.dirty_bit(line);
+            if bits.load(Ordering::Relaxed) & bit != 0 {
+                continue;
+            }
+            if let Some(lock) = &self.pre_images {
+                let map = pre_images.get_or_insert_with(|| lock.lock());
+                // Another writer may have dirtied the line before the lock.
+                if bits.load(Ordering::Relaxed) & bit == 0 {
+                    let mut pre = [0u64; LINE_WORDS];
+                    let start = line as usize * LINE_WORDS;
+                    for (p, w) in pre.iter_mut().zip(&self.live[start..]) {
+                        *p = w.load(Ordering::Relaxed);
+                    }
+                    map.insert(line, pre);
+                }
+            }
+            bits.fetch_or(bit, Ordering::Relaxed);
         }
     }
 
@@ -157,10 +236,8 @@ impl NvDimm {
             let site = crate::pmcheck::Site::here(std::panic::Location::caller());
             self.pm.on_write(first, last, site);
         }
-        for (i, b) in data.iter().enumerate() {
-            self.live[off as usize + i].store(*b, Ordering::Relaxed);
-        }
         self.mark_dirty(off, data.len());
+        store_bytes(&self.live, off as usize, data);
         self.stats.bytes_stored.fetch_add(data.len() as u64, Ordering::Relaxed);
         clock.advance(self.profile.store_bandwidth.time_for(data.len() as u64));
     }
@@ -179,9 +256,7 @@ impl NvDimm {
     /// e.g. metadata the thread itself wrote moments ago).
     pub fn read_cached(&self, off: u64, buf: &mut [u8]) {
         self.check_range(off, buf.len());
-        for (i, b) in buf.iter_mut().enumerate() {
-            *b = self.live[off as usize + i].load(Ordering::Relaxed);
-        }
+        load_bytes(&self.live, off as usize, buf);
     }
 
     /// Enqueues the cache lines covering `off..off+len` for write-back
@@ -199,9 +274,8 @@ impl NvDimm {
         {
             let site = crate::pmcheck::Site::here(std::panic::Location::caller());
             let redundant = self.pm.on_pwb(first, last, site, |line| {
-                let word = (line / 64) as usize;
-                let bit = 1u64 << (line % 64);
-                self.dirty[word].load(Ordering::Relaxed) & bit != 0
+                let (bits, bit) = self.dirty_bit(line);
+                bits.load(Ordering::Relaxed) & bit != 0
             });
             if redundant > 0 {
                 self.stats.redundant_pwb_lines.fetch_add(redundant, Ordering::Relaxed);
@@ -224,21 +298,17 @@ impl NvDimm {
         }
         lines.sort_unstable();
         lines.dedup();
-        if let Some(durable) = &self.durable {
-            let mut image = durable.lock();
-            for &line in &lines {
-                let start = (line * CACHE_LINE) as usize;
-                let end = (start + CACHE_LINE as usize).min(self.live.len());
-                for i in start..end {
-                    image[i] = self.live[i].load(Ordering::Relaxed);
-                }
+        // A flushed line's live bytes become durable: it turns clean and its
+        // pre-image is dropped.
+        let mut pre_images = self.pre_images.as_ref().map(|m| m.lock());
+        for &line in &lines {
+            let (bits, bit) = self.dirty_bit(line);
+            let was_dirty = bits.fetch_and(!bit, Ordering::Relaxed) & bit != 0;
+            if let Some(map) = pre_images.as_mut().filter(|_| was_dirty) {
+                map.remove(&line);
             }
         }
-        for &line in &lines {
-            let word = (line / 64) as usize;
-            let bit = 1u64 << (line % 64);
-            self.dirty[word].fetch_and(!bit, Ordering::Relaxed);
-        }
+        drop(pre_images);
         let n = lines.len();
         self.stats.lines_flushed.fetch_add(n as u64, Ordering::Relaxed);
         let service = self.profile.write_bandwidth.time_for(n as u64 * CACHE_LINE);
@@ -345,14 +415,11 @@ impl NvDimm {
         self.pwb(off, data.len());
     }
 
-    /// Produces the post-crash memory image: the durable image, with each
-    /// still-dirty line independently "evicted" (persisted anyway) with the
-    /// profile's eviction probability, using `seed` for reproducibility.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the profile disabled durability tracking.
-    pub fn crash_image(&self, seed: u64) -> Vec<u8> {
+    /// The post-crash live image as words: the live image with each dirty
+    /// line, in ascending order, independently "evicted" (persisted anyway)
+    /// with the profile's eviction probability, and otherwise rolled back
+    /// to its pre-image.
+    fn crash_words(&self, seed: u64) -> Box<[AtomicU64]> {
         #[cfg(feature = "pmcheck")]
         {
             let found = self.pm.check_crash(self.id);
@@ -360,27 +427,42 @@ impl NvDimm {
                 panic!("{}", found.join("\n"));
             }
         }
-        let durable = self
-            .durable
+        let pre_images = self
+            .pre_images
             .as_ref()
-            .expect("crash semantics unavailable: durability tracking disabled");
-        let mut image = durable.lock().to_vec();
+            .expect("crash semantics unavailable: durability tracking disabled")
+            .lock();
+        let words: Box<[AtomicU64]> =
+            self.live.iter().map(|w| AtomicU64::new(w.load(Ordering::Relaxed))).collect();
         let p = self.profile.eviction_probability;
-        if p > 0.0 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let lines = self.len().div_ceil(CACHE_LINE);
-            for line in 0..lines {
-                let word = (line / 64) as usize;
-                let bit = 1u64 << (line % 64);
-                if self.dirty[word].load(Ordering::Relaxed) & bit != 0 && rng.gen_bool(p) {
-                    let start = (line * CACHE_LINE) as usize;
-                    let end = (start + CACHE_LINE as usize).min(self.live.len());
-                    for (dst, src) in image[start..end].iter_mut().zip(&self.live[start..end]) {
-                        *dst = src.load(Ordering::Relaxed);
-                    }
+        let mut rng = (p > 0.0).then(|| StdRng::seed_from_u64(seed));
+        for line in 0..self.len.div_ceil(CACHE_LINE) {
+            let (bits, bit) = self.dirty_bit(line);
+            if bits.load(Ordering::Relaxed) & bit == 0
+                || rng.as_mut().is_some_and(|r| r.gen_bool(p))
+            {
+                continue;
+            }
+            if let Some(pre) = pre_images.get(&line) {
+                let start = line as usize * LINE_WORDS;
+                for (w, v) in words[start..].iter().zip(pre) {
+                    w.store(*v, Ordering::Relaxed);
                 }
             }
         }
+        words
+    }
+
+    /// Produces the post-crash memory image: what was durable, with each
+    /// still-dirty line independently "evicted" (persisted anyway) with the
+    /// profile's eviction probability, using `seed` for reproducibility.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the profile disabled durability tracking.
+    pub fn crash_image(&self, seed: u64) -> Vec<u8> {
+        let mut image = vec![0u8; self.len as usize];
+        load_bytes(&self.crash_words(seed), 0, &mut image);
         image
     }
 
@@ -391,21 +473,13 @@ impl NvDimm {
     ///
     /// Panics if the profile disabled durability tracking.
     pub fn crash_and_restart(&self) -> NvDimm {
-        let image = self.crash_image(0);
-        Self::from_image(&image, self.profile.clone())
+        self.crash_and_restart_seeded(0)
     }
 
     /// Simulates a crash with a seeded eviction draw (see
     /// [`crash_image`](NvDimm::crash_image)).
     pub fn crash_and_restart_seeded(&self, seed: u64) -> NvDimm {
-        let image = self.crash_image(seed);
-        Self::from_image(&image, self.profile.clone())
-    }
-
-    /// Alias for [`crash_and_restart`](NvDimm::crash_and_restart); reads as
-    /// "crash" at call sites.
-    pub fn crash(&self) -> NvDimm {
-        self.crash_and_restart()
+        Self::from_words(self.crash_words(seed), self.len, self.profile.clone())
     }
 }
 

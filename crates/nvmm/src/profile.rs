@@ -20,9 +20,9 @@ pub struct NvmmProfile {
     pub fence_latency: SimTime,
     /// Additional fixed cost of a `psync` (drain) over a `pfence`.
     pub drain_latency: SimTime,
-    /// Whether to maintain the durable image for crash testing. Benchmarks
-    /// can turn this off to halve memory footprint; [`crate::NvDimm::crash`]
-    /// then panics.
+    /// Whether to save dirty lines' pre-images for crash testing. Benchmarks
+    /// can turn this off to skip that bookkeeping;
+    /// [`crate::NvDimm::crash_and_restart`] then panics.
     pub track_durability: bool,
     /// Probability that a dirty-but-unflushed line happens to have been
     /// evicted (and therefore persisted) by the time of a crash. 0 models the
@@ -60,7 +60,7 @@ impl NvmmProfile {
         }
     }
 
-    /// Disables the durable shadow image (halves memory; crash unsupported).
+    /// Disables durability tracking (no pre-images; crash unsupported).
     pub fn without_durability_tracking(mut self) -> Self {
         self.track_durability = false;
         self

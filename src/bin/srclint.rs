@@ -39,7 +39,7 @@ const ALLOW_PANIC: &[(&str, &str)] = &[
     ("core/src/cache.rs", "spawn migration worker"),
     // Fixed-width header/field decoding: the slices are always 4/8 bytes.
     ("core/src/recovery.rs", ".try_into().expect("),
-    // Crash simulation requires the durable mirror the profile enabled.
+    // Crash simulation requires the durability tracking the profile enables.
     ("nvmm/src/dimm.rs", "crash semantics unavailable"),
     // Histogram bin guaranteed set on the taken branch.
     ("fiosim/src/lib.rs", "bin set"),
