@@ -244,6 +244,11 @@ fn run(paths: usize, capacity: u64, seed: u64, sweep_budget_ms: u128) -> (RunRes
     )
 }
 
+/// The final virtual clock under the default smoke arguments (10 000
+/// paths, a 4096-entry catalog, seed 42): the smoke run fails on any drift
+/// from it, not only on two runs of one build disagreeing.
+const SMOKE_FINAL_CLOCK: SimTime = SimTime::from_nanos(172_500_743);
+
 fn main() {
     let smoke = arg_flag("--smoke");
     let paths = arg_u64("--paths", if smoke { 10_000 } else { 1_000_000 }) as usize;
@@ -302,6 +307,9 @@ fn main() {
     if smoke {
         let (again, _) = run(paths, capacity, seed, sweep_budget_ms);
         assert_eq!(result, again, "smoke determinism check: two same-seed runs diverged");
+        if (paths, capacity, seed) == (10_000, 4096, 42) {
+            assert_eq!(again.final_clock, SMOKE_FINAL_CLOCK, "smoke clock drifted from its pin");
+        }
         println!("\nsmoke determinism check: OK ({:?})", again.final_clock);
     }
 

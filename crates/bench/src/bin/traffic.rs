@@ -152,6 +152,11 @@ fn kind_label(spec: &TenantSpec) -> &'static str {
     }
 }
 
+/// The first mix's final virtual clock under the default smoke arguments
+/// (seed 42, scale 64, 120 ops per tenant): the smoke run fails on any
+/// drift from it, not only on two runs of one build disagreeing.
+const SMOKE_FINAL_CLOCK: SimTime = SimTime::from_nanos(186_644_336);
+
 fn main() {
     let smoke = arg_flag("--smoke");
     let seed = arg_u64("--seed", 42);
@@ -221,6 +226,9 @@ fn main() {
             first_final_clock,
             "smoke determinism check: two same-seed runs diverged"
         );
+        if (seed, scale, ops) == (42, 64, 120) {
+            assert_eq!(again.final_clock, SMOKE_FINAL_CLOCK, "smoke clock drifted from its pin");
+        }
         println!("\nsmoke determinism check: OK ({:?})", again.final_clock);
     }
 

@@ -34,9 +34,8 @@
 //! # }
 //! ```
 //!
-//! A single-backend `Mount::Format` produces a region **byte-identical** to
-//! the deprecated `NvCache::format` (the oracle tests pin this down), so
-//! adopting the builder is purely an API migration.
+//! A single-backend mount keeps the seed's region header encoding (the
+//! backend-count word stays zero).
 
 use std::sync::Arc;
 

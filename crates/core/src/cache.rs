@@ -10,17 +10,17 @@ use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 
 use nvmm::NvRegion;
-use parking_lot::{Mutex, RwLock};
-use simclock::ActorClock;
+use parking_lot::{Mutex, MutexGuard, RwLock};
+use simclock::{ActorClock, SimTime};
 use vfs::{Fd, FileSystem, IoError, IoResult, Metadata, OpenFlags, SeekFrom};
 
-use crate::builder::{Mount, NvCacheBuilder};
+use crate::builder::NvCacheBuilder;
 use crate::files::{FdSlotAllocator, FileState, OpenedFile, PersistentFdTable};
 use crate::layout::{self, Layout};
 use crate::lockcheck::{Class, Recorder};
-use crate::log::Log;
+use crate::log::{Log, Stripe};
 use crate::migrate::{MigrationPolicy, Migrator, RebalanceReport};
-use crate::pagedesc::PageDescriptor;
+use crate::pagedesc::{PageDescriptor, PageLocks, PageSet, PageSlot};
 use crate::placement::{quantize_heat, PlacementPolicy, RouterPlacement};
 use crate::readcache::ReadCache;
 use crate::recovery::RecoveryReport;
@@ -35,6 +35,60 @@ pub(crate) struct Zombie {
     pub opened: Arc<OpenedFile>,
     /// Per-stripe head snapshot taken at close time.
     pub drain_targets: Box<[u64]>,
+}
+
+/// One write of a commit window, already past its submission-time checks.
+pub(crate) struct Write<'a> {
+    pub opened: &'a Arc<OpenedFile>,
+    pub data: &'a [u8],
+    pub off: u64,
+}
+
+/// Receives each committed write of a window, in window order, for the
+/// bookkeeping its caller times itself: the synchronous path applies heat
+/// and counters to the mount at once, a queue pair defers them to its next
+/// reap.
+pub(crate) trait WriteSink {
+    /// `write` committed as `k` entries in stripe `stripe` at `done`;
+    /// `clock` has just paid the write's in-place page updates.
+    fn committed(
+        &mut self,
+        write: &Write<'_>,
+        k: u64,
+        stripe: usize,
+        done: SimTime,
+        clock: &ActorClock,
+    );
+}
+
+/// The synchronous path's sink: heat at the writer's clock, counters
+/// straight into the mount's statistics.
+struct Immediate<'a>(&'a Shared);
+
+impl WriteSink for Immediate<'_> {
+    fn committed(
+        &mut self,
+        write: &Write<'_>,
+        k: u64,
+        stripe: usize,
+        _: SimTime,
+        clock: &ActorClock,
+    ) {
+        let shared = self.0;
+        if shared.track_heat {
+            let now = clock.now();
+            write.opened.file.touch_heat(now, shared.heat_half_life);
+            shared.migrator.observe_time(now);
+        }
+        let stats = &shared.stats;
+        stats.writes.fetch_add(1, Ordering::Relaxed);
+        stats.bytes_logged.fetch_add(write.data.len() as u64, Ordering::Relaxed);
+        stats.entries_logged.fetch_add(k, Ordering::Relaxed);
+        stats.per_shard[stripe].entries_logged.fetch_add(k, Ordering::Relaxed);
+        if k > 1 {
+            stats.groups_logged.fetch_add(1, Ordering::Relaxed);
+        }
+    }
 }
 
 /// State shared between the application-facing API and the cleanup workers.
@@ -259,26 +313,10 @@ impl Shared {
     pub fn kernel_flush_file(&self, opened: &Arc<OpenedFile>, clock: &ActorClock) {
         for (si, seq, hdr) in self.pending_entries_for(|h| h.fd_slot == opened.slot) {
             let data = self.log.stripes[si].read_data_cached(seq, hdr.len as usize);
-            let descs: Vec<_> = match opened.file.radix.get() {
-                Some(radix) => self
-                    .pages_of(hdr.file_off, hdr.len as usize)
-                    .map(|p| radix.get_or_create(p))
-                    .collect(),
-                None => Vec::new(),
-            };
-            let first_page = self.pages_of(hdr.file_off, hdr.len as usize).start;
-            let mut guards = Vec::with_capacity(descs.len());
-            let mut _lock_order = Vec::with_capacity(descs.len());
-            for (j, d) in descs.iter().enumerate() {
-                _lock_order.push(self.lockcheck.acquire_page(
-                    Class::PageCleanup,
-                    opened.file.file_id,
-                    first_page + j as u64,
-                ));
-                guards.push(d.lock_cleanup());
-            }
+            let pages = PageSet::of(&opened.file, self.pages_of(hdr.file_off, hdr.len as usize));
+            let _locks =
+                pages.lock(&self.lockcheck, Class::PageCleanup, PageDescriptor::lock_cleanup);
             let _ = self.inner_of(opened).pwrite(opened.inner_fd, &data, hdr.file_off, clock);
-            drop(guards);
         }
     }
 
@@ -370,10 +408,130 @@ impl Shared {
         }
     }
 
-    /// The write path (paper Algorithm 1, generalized to multi-page and
-    /// multi-entry writes): lock pages → append to the routed log stripe →
-    /// commit (synchronous durability) → update dirty counters, propagation
-    /// queues and loaded page contents → release.
+    /// Submission-time checks shared by `pwrite` and
+    /// [`QueuePair::submit_pwrite`](crate::QueuePair::submit_pwrite): the
+    /// descriptor must be writable, and `len` bytes at `off` must fit the
+    /// routed stripe. A synchronous call passes its clock as `libc`, which
+    /// pays the interception cost between the two checks, so an error path
+    /// keeps its virtual time. Returns the routed stripe.
+    pub fn admit_write(
+        &self,
+        opened: &OpenedFile,
+        len: usize,
+        off: u64,
+        libc: Option<&ActorClock>,
+    ) -> IoResult<&Stripe> {
+        if !opened.flags.writable() {
+            return Err(IoError::PermissionDenied("fd opened read-only".into()));
+        }
+        if let Some(clock) = libc {
+            clock.advance(self.cfg.libc_overhead);
+        }
+        // Group commits stay contiguous in a single stripe, routed by the
+        // write's first aligned chunk.
+        let stripe = self.log.route(opened.file.dev_ino, off);
+        if len.div_ceil(self.cfg.entry_size) as u64 > stripe.capacity() {
+            return Err(IoError::InvalidArgument(format!(
+                "write of {len} bytes cannot fit a {}-entry log stripe",
+                stripe.capacity()
+            )));
+        }
+        Ok(stripe)
+    }
+
+    /// The one write path (paper Algorithm 1, generalized to multi-entry
+    /// writes and doorbell windows). With every page of `window` locked in
+    /// `locks`: reserve one window of entries in `stripe` (waiting while it
+    /// is full; fails only if the stripe is poisoned), fill each write as
+    /// its own commit group, commit them all with one `pfence`/`psync`
+    /// pair, then per write in window order update the dirty counters and
+    /// propagation queues, the loaded pages' contents, the size and access
+    /// counter, and report to `sink`. Returns the commit instant.
+    pub fn commit_window(
+        &self,
+        stripe: &Stripe,
+        window: &[Write<'_>],
+        locks: &mut PageLocks<'_, MutexGuard<'_, PageSlot>>,
+        sink: &mut impl WriteSink,
+        clock: &ActorClock,
+    ) -> IoResult<SimTime> {
+        let es = self.cfg.entry_size;
+        let entries = |w: &Write<'_>| w.data.len().div_ceil(es) as u64;
+        let total = window.iter().map(entries).sum();
+        let (first_seq, first_gseq) = self.log.reserve(stripe, total, clock, &self.stats)?;
+
+        // Fill (Algorithm 1 ll.14-22): members point at their leader's slot.
+        let mut groups = Vec::with_capacity(window.len());
+        let (mut seq, mut gseq) = (first_seq, first_gseq);
+        for w in window {
+            let k = entries(w);
+            let leader_slot = stripe.slot(seq);
+            for (i, chunk) in w.data.chunks(es).enumerate() {
+                let member = (i > 0).then_some(leader_slot);
+                let i = i as u64;
+                let off = w.off + i * es as u64;
+                stripe.fill_entry(
+                    seq + i,
+                    gseq + i,
+                    w.opened.slot,
+                    off,
+                    chunk,
+                    k as u32,
+                    member,
+                    clock,
+                );
+            }
+            groups.push((seq, k));
+            seq += k;
+            gseq += k;
+        }
+        stripe.commit_batch(&groups, clock);
+        let done = clock.now();
+
+        // Read-cache maintenance (Algorithm 1 ll.29-31): one dirty-counter
+        // increment per (entry, page) overlap — plus, on a striped log, one
+        // propagation-queue entry so the cleanup workers keep this page's
+        // commit order — and in-place update of loaded contents.
+        let ordered_handoff = !self.log.single();
+        let ps = self.cfg.page_size as u64;
+        let mut gseq = first_gseq;
+        for (w, &(_, k)) in window.iter().zip(&groups) {
+            let file = &w.opened.file;
+            for (i, chunk) in w.data.chunks(es).enumerate() {
+                for p in self.pages_of(w.off + (i * es) as u64, chunk.len()) {
+                    let d = locks.desc(locks.index(file.file_id, p));
+                    d.inc_dirty();
+                    if ordered_handoff {
+                        d.enqueue_propagation(gseq + i as u64);
+                    }
+                }
+            }
+            let end = w.off + w.data.len() as u64;
+            let mut updated = 0u64;
+            for p in self.pages_of(w.off, w.data.len()) {
+                let j = locks.index(file.file_id, p);
+                if let Some(content) = locks.guards[j].content.as_mut() {
+                    let page_start = p * ps;
+                    let s = w.off.max(page_start);
+                    let e = end.min(page_start + ps);
+                    content[(s - page_start) as usize..(e - page_start) as usize]
+                        .copy_from_slice(&w.data[(s - w.off) as usize..(e - w.off) as usize]);
+                    updated += e - s;
+                }
+                locks.desc(j).mark_accessed();
+            }
+            if updated > 0 {
+                clock.advance(self.cfg.copy_bandwidth.time_for(updated));
+            }
+            file.size.fetch_max(end, Ordering::AcqRel);
+            file.writes.fetch_add(1, Ordering::Relaxed); // access heat for the migrator
+            sink.committed(w, k, stripe.index, done, clock);
+            gseq += k;
+        }
+        Ok(done)
+    }
+
+    /// The synchronous write: a commit window of one.
     fn do_pwrite(
         &self,
         opened: &Arc<OpenedFile>,
@@ -381,113 +539,14 @@ impl Shared {
         off: u64,
         clock: &ActorClock,
     ) -> IoResult<usize> {
-        if !opened.flags.writable() {
-            return Err(IoError::PermissionDenied("fd opened read-only".into()));
-        }
-        clock.advance(self.cfg.libc_overhead);
+        let stripe = self.admit_write(opened, data.len(), off, Some(clock))?;
         if data.is_empty() {
             return Ok(0);
         }
-        let es = self.cfg.entry_size;
-        let k = data.len().div_ceil(es) as u64;
-        let file = &opened.file;
-        // Group commits stay contiguous in a single stripe, routed by the
-        // write's first aligned chunk.
-        let stripe = self.log.route(file.dev_ino, off);
-        if k > stripe.capacity() {
-            return Err(IoError::InvalidArgument(format!(
-                "write of {} bytes cannot fit a {}-entry log stripe",
-                data.len(),
-                stripe.capacity()
-            )));
-        }
-        let radix = file.radix.get().expect("writable open creates the radix tree");
-        let pages = self.pages_of(off, data.len());
-        let first_page = pages.start;
-        let descs: Vec<Arc<PageDescriptor>> = pages.map(|p| radix.get_or_create(p)).collect();
-        let mut guards = Vec::with_capacity(descs.len());
-        let mut _lock_order = Vec::with_capacity(descs.len());
-        for (j, d) in descs.iter().enumerate() {
-            _lock_order.push(self.lockcheck.acquire_page(
-                Class::PageAtomic,
-                file.file_id,
-                first_page + j as u64,
-            ));
-            guards.push(d.lock());
-        }
-
-        // Append to the write cache (Algorithm 1 ll.14-27). Fails if the
-        // stripe was poisoned by an inner I/O error (its worker is gone, so
-        // waiting for space could block forever).
-        let (first_seq, first_gseq) = self.log.alloc(stripe, k, clock, &self.stats)?;
-        let leader_slot = stripe.slot(first_seq);
-        for i in 0..k as usize {
-            let chunk = &data[i * es..((i + 1) * es).min(data.len())];
-            let member = (i > 0).then_some(leader_slot);
-            stripe.fill_entry(
-                first_seq + i as u64,
-                first_gseq + i as u64,
-                opened.slot,
-                off + (i * es) as u64,
-                chunk,
-                k as u32,
-                member,
-                clock,
-            );
-        }
-        stripe.commit_group(first_seq, k, clock);
-
-        // Read-cache maintenance (Algorithm 1 ll.29-31): one dirty-counter
-        // increment per (entry, page) overlap — plus, on a striped log, one
-        // propagation-queue entry so the cleanup workers replay this page's
-        // writes in commit order — and in-place update of loaded contents.
-        let ordered_handoff = !self.log.single();
-        for i in 0..k as usize {
-            let e_off = off + (i * es) as u64;
-            let e_len = ((i + 1) * es).min(data.len()) - i * es;
-            for p in self.pages_of(e_off, e_len) {
-                let desc = &descs[(p - first_page) as usize];
-                desc.inc_dirty();
-                if ordered_handoff {
-                    desc.enqueue_propagation(first_gseq + i as u64);
-                }
-            }
-        }
-        let ps = self.cfg.page_size as u64;
-        let mut updated_bytes = 0u64;
-        let mut guards = guards;
-        for (j, d) in descs.iter().enumerate() {
-            let slot = &mut *guards[j];
-            if let Some(content) = slot.content.as_mut() {
-                let p = first_page + j as u64;
-                let page_start = p * ps;
-                let s = off.max(page_start);
-                let e = (off + data.len() as u64).min(page_start + ps);
-                content[(s - page_start) as usize..(e - page_start) as usize]
-                    .copy_from_slice(&data[(s - off) as usize..(e - off) as usize]);
-                updated_bytes += e - s;
-            }
-            d.mark_accessed();
-        }
-        if updated_bytes > 0 {
-            clock.advance(self.cfg.copy_bandwidth.time_for(updated_bytes));
-        }
-        file.size.fetch_max(off + data.len() as u64, Ordering::AcqRel);
-        file.writes.fetch_add(1, Ordering::Relaxed); // access heat for the migrator
-        if self.track_heat {
-            let now = clock.now();
-            file.touch_heat(now, self.heat_half_life);
-            self.migrator.observe_time(now);
-        }
-        self.stats.writes.fetch_add(1, Ordering::Relaxed);
-        self.stats.bytes_logged.fetch_add(data.len() as u64, Ordering::Relaxed);
-        self.stats.entries_logged.fetch_add(k, Ordering::Relaxed);
-        self.stats.per_shard[stripe.index]
-            .entries_logged
-            .fetch_add(k, Ordering::Relaxed);
-        if k > 1 {
-            self.stats.groups_logged.fetch_add(1, Ordering::Relaxed);
-        }
+        let pages = PageSet::of(&opened.file, self.pages_of(off, data.len()));
+        let mut locks = pages.lock(&self.lockcheck, Class::PageAtomic, PageDescriptor::lock);
+        let write = Write { opened, data, off };
+        self.commit_window(stripe, &[write], &mut locks, &mut Immediate(self), clock)?;
         Ok(data.len())
     }
 
@@ -520,28 +579,17 @@ impl Shared {
             self.migrator.observe_time(now);
         }
         let n = buf.len().min((size - off) as usize);
-        let Some(radix) = file.radix.get() else {
+        if file.radix.get().is_none() {
             // Never opened for writing: the kernel page cache is fresh.
             self.stats.bypass_reads.fetch_add(1, Ordering::Relaxed);
             return self.inner_of(opened).pread(opened.inner_fd, &mut buf[..n], off, clock);
-        };
-        let ps = self.cfg.page_size as u64;
-        let pages = self.pages_of(off, n);
-        let first_page = pages.start;
-        let descs: Vec<Arc<PageDescriptor>> = pages.map(|p| radix.get_or_create(p)).collect();
-        let mut guards = Vec::with_capacity(descs.len());
-        let mut _lock_order = Vec::with_capacity(descs.len());
-        for (j, d) in descs.iter().enumerate() {
-            _lock_order.push(self.lockcheck.acquire_page(
-                Class::PageAtomic,
-                file.file_id,
-                first_page + j as u64,
-            ));
-            guards.push(d.lock());
         }
-        for (j, d) in descs.iter().enumerate() {
-            let p = first_page + j as u64;
-            if guards[j].content.is_none() {
+        let ps = self.cfg.page_size as u64;
+        let pages = PageSet::of(file, self.pages_of(off, n));
+        let mut locks = pages.lock(&self.lockcheck, Class::PageAtomic, PageDescriptor::lock);
+        let slots = locks.guards.iter_mut().zip(pages.descs()).zip(self.pages_of(off, n));
+        for ((slot, d), p) in slots {
+            if slot.content.is_none() {
                 self.stats.read_misses.fetch_add(1, Ordering::Relaxed);
                 self.pool.make_room(&self.stats);
                 let _cl = self.lockcheck.acquire_page(Class::PageCleanup, file.file_id, p);
@@ -553,12 +601,12 @@ impl Shared {
                     self.dirty_miss(file, p, &mut page_buf, clock);
                 }
                 drop(cleanup_guard);
-                self.pool.install(d, &mut guards[j], page_buf.into_boxed_slice());
+                self.pool.install(d, slot, page_buf.into_boxed_slice());
             } else {
                 self.stats.read_hits.fetch_add(1, Ordering::Relaxed);
             }
             d.mark_accessed();
-            let content = guards[j].content.as_ref().expect("just installed");
+            let content = slot.content.as_ref().expect("just installed");
             let page_start = p * ps;
             let s = off.max(page_start);
             let e = (off + n as u64).min(page_start + ps);
@@ -616,8 +664,9 @@ pub struct NvCache {
     /// otherwise.
     migrator_worker: Mutex<Option<JoinHandle<()>>>,
     /// The recovery report when the instance was mounted with
-    /// [`Mount::Recover`]/[`Mount::RecoverRepair`]; `None` on a fresh
-    /// format.
+    /// [`Mount::Recover`](crate::Mount::Recover) or
+    /// [`Mount::RecoverRepair`](crate::Mount::RecoverRepair); `None` on a
+    /// fresh format.
     recovery: Option<RecoveryReport>,
 }
 
@@ -631,53 +680,11 @@ impl std::fmt::Debug for NvCache {
 }
 
 impl NvCache {
-    /// Starts building a mount over `region` — the composable replacement
-    /// for the original `format`/`recover` constructor pair, and the only
-    /// way to assemble a **tiered** (multi-backend) stack. See
-    /// [`NvCacheBuilder`].
+    /// Starts building a mount over `region`: a fresh format or a
+    /// [`Mount::Recover`](crate::Mount::Recover) mount, over one backend or
+    /// a **tiered** (multi-backend) stack. See [`NvCacheBuilder`].
     pub fn builder(region: NvRegion) -> NvCacheBuilder {
         NvCacheBuilder::new(region)
-    }
-
-    /// Formats `region` as a fresh NVCache log over `inner` and starts the
-    /// cleanup thread.
-    ///
-    /// # Errors
-    ///
-    /// [`IoError::InvalidArgument`] if the region is too small for `cfg`.
-    #[deprecated(note = "use NvCache::builder(region).backend(inner).config(cfg).mount(clock)")]
-    pub fn format(
-        region: NvRegion,
-        inner: Arc<dyn FileSystem>,
-        cfg: NvCacheConfig,
-        clock: &ActorClock,
-    ) -> IoResult<NvCache> {
-        Self::builder(region).backend(inner).config(cfg).mount(clock)
-    }
-
-    /// Runs the recovery procedure on a previously formatted region (replay
-    /// committed entries, sync, empty the log) and starts a fresh instance.
-    ///
-    /// # Errors
-    ///
-    /// [`IoError::InvalidArgument`] if the region is not a formatted NVCache
-    /// log or its geometry disagrees with `cfg`.
-    #[deprecated(
-        note = "use NvCache::builder(region).backend(inner).config(cfg).mode(Mount::Recover).mount(clock)"
-    )]
-    pub fn recover(
-        region: NvRegion,
-        inner: Arc<dyn FileSystem>,
-        cfg: NvCacheConfig,
-        clock: &ActorClock,
-    ) -> IoResult<(NvCache, RecoveryReport)> {
-        let cache = Self::builder(region)
-            .backend(inner)
-            .config(cfg)
-            .mode(Mount::Recover)
-            .mount(clock)?;
-        let report = cache.recovery_report().expect("recover mode always produces a report");
-        Ok((cache, report))
     }
 
     pub(crate) fn start(
@@ -722,7 +729,7 @@ impl NvCache {
                 taken.into_boxed_slice()
             },
             zombies: Mutex::new(Vec::new()),
-            stats: NvCacheStats::with_front_end(cfg.log_shards, cfg.backends, cfg.sq_pairs),
+            stats: NvCacheStats::new(cfg.log_shards, cfg.backends, cfg.sq_pairs),
             stop: AtomicBool::new(false),
             kill: AtomicBool::new(false),
             cleanup_clocks: cleanup_clocks.into_boxed_slice(),
@@ -794,8 +801,8 @@ impl NvCache {
         }
     }
 
-    /// The recovery report of a [`Mount::Recover`] mount (`None` when the
-    /// instance was freshly formatted).
+    /// The recovery report of a [`Mount::Recover`](crate::Mount::Recover)
+    /// mount (`None` when the instance was freshly formatted).
     pub fn recovery_report(&self) -> Option<RecoveryReport> {
         self.recovery
     }
@@ -853,10 +860,10 @@ impl NvCache {
     }
 
     /// Indices of log stripes poisoned by an inner-file-system error: their
-    /// workers have stopped, their pending entries await
-    /// [`NvCache::recover`], and writes routed to them fail. Empty in
-    /// healthy operation ([`NvCacheStats::inner_io_errors`] counts the
-    /// causes).
+    /// workers have stopped, their pending entries await a
+    /// [`Mount::Recover`](crate::Mount::Recover) mount, and writes routed
+    /// to them fail. Empty in healthy operation
+    /// ([`NvCacheStats::inner_io_errors`] counts the causes).
     pub fn poisoned_stripes(&self) -> Vec<usize> {
         self.shared.log.poisoned_stripes()
     }
@@ -953,9 +960,10 @@ impl NvCache {
     /// Blocks until every entry currently in any stripe has been propagated
     /// and fsync'ed by its cleanup worker (the flush barrier drains *all*
     /// stripes). If a stripe is poisoned the barrier returns early — its
-    /// entries can only drain through [`NvCache::recover`]; operations
-    /// whose correctness *depends* on the drain use the internal
-    /// `drained_flush` and propagate the error instead.
+    /// entries can only drain through a
+    /// [`Mount::Recover`](crate::Mount::Recover) mount; operations whose
+    /// correctness *depends* on the drain use the internal `drained_flush`
+    /// and propagate the error instead.
     pub fn flush_log(&self, clock: &ActorClock) {
         self.shared.log.flush_all(clock);
     }
@@ -985,7 +993,8 @@ impl NvCache {
     }
 
     /// Immediate stop (crash simulation): the cleanup workers exit without
-    /// draining; pending entries stay in NVMM for [`NvCache::recover`].
+    /// draining; pending entries stay in NVMM for a
+    /// [`Mount::Recover`](crate::Mount::Recover) mount.
     pub fn abort(&self) {
         self.shared.kill.store(true, Ordering::Release);
         self.shared.stop.store(true, Ordering::Release);

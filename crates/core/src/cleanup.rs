@@ -16,6 +16,9 @@ use simclock::SimTime;
 
 use crate::cache::Shared;
 use crate::layout::CommitWord;
+use crate::lockcheck::Class;
+use crate::log::Stripe;
+use crate::pagedesc::{PageDescriptor, PageSet};
 
 /// Body of one cleanup worker (paper §III "Cleanup thread and batching",
 /// one worker per log stripe).
@@ -46,13 +49,15 @@ use crate::layout::CommitWord;
 /// timeline: the drain is behaviorally *and* temporally identical to the
 /// paper's synchronous cleanup (the `qd1` oracle tests pin this down).
 ///
-/// With multiple stripes, workers additionally synchronize *per page*
-/// through the descriptors' propagation queues: an entry is only written to
-/// the inner file system once its global sequence number reaches the front
-/// of every touched page's queue. Because global sequences are assigned in
-/// ring order within each stripe, a worker only ever waits for *smaller*
-/// sequence numbers sitting at other stripes' tails — the waits form no
-/// cycle and unrelated pages never serialize.
+/// With multiple stripes, workers additionally keep per-page order through
+/// the descriptors' propagation queues, at *free* time and not only at
+/// propagation time (`lib.rs` invariant 3): an entry propagates once
+/// nothing but this batch's own entries is ahead of it on every touched
+/// page, and the batch's queue slots are popped after it is freed. An entry
+/// that would wait on another stripe ends a non-empty batch, so a waiting
+/// worker holds nothing unfreed and only waits for *smaller* sequence
+/// numbers held by other stripes — the waits form no cycle and unrelated
+/// pages never serialize.
 ///
 /// An inner-file-system error (failed `pwrite` or `fsync`) does **not**
 /// abort the worker thread with a panic: the error is counted in
@@ -113,6 +118,9 @@ pub(crate) fn run_cleanup(shared: Arc<Shared>, stripe_idx: usize) {
         // coalescing key (an fd is only meaningful on its own backend).
         let mut touched_fds: Vec<(u32, vfs::Fd)> = Vec::new();
         let mut batch_failed = false;
+        // `(global sequence, pages)` of the batch's submitted entries,
+        // ascending; popped from the propagation queues once freed.
+        let mut submitted: Vec<(u64, PageSet)> = Vec::new();
 
         // Phase 1: submit the batch's propagation writes onto the ring.
         while consumed < budget {
@@ -153,13 +161,6 @@ pub(crate) fn run_cleanup(shared: Arc<Shared>, stripe_idx: usize) {
             if header.commit == CommitWord::Free {
                 break;
             }
-            // Stay causal in virtual time: a batch cannot start before its
-            // entries were committed.
-            let slot = (seq % stripe.capacity()) as usize;
-            clock.advance_to(SimTime::from_nanos(
-                stripe.commit_stamps[slot].load(Ordering::Acquire),
-            ));
-
             let group_len = match header.commit {
                 CommitWord::Leader => header.group_len.max(1) as u64,
                 // A member at the tail would mean a torn group; the
@@ -168,25 +169,50 @@ pub(crate) fn run_cleanup(shared: Arc<Shared>, stripe_idx: usize) {
                 CommitWord::Member(_) => unreachable!("group member at the tail"),
                 CommitWord::Free => unreachable!("checked above"),
             };
+            let group: Vec<_> = (0..group_len)
+                .map(|i| {
+                    let e = stripe.read_header(seq + i);
+                    let opened = shared
+                        .opened_by_slot(e.fd_slot)
+                        .expect("entry references a closed fd: close must drain first");
+                    let pages =
+                        PageSet::of(&opened.file, shared.pages_of(e.file_off, e.len as usize));
+                    (e, opened, pages)
+                })
+                .collect();
+            // A group's global sequence numbers are contiguous: its earlier
+            // members are the only entries of its own in that range.
+            if ordered_handoff
+                && consumed > 0
+                && !group.iter().all(|(e, _, pages)| {
+                    handoff_ready(pages, e.seq, |s| {
+                        (header.seq..e.seq).contains(&s) || was_submitted(&submitted, s)
+                    })
+                })
+            {
+                // The group would wait on another stripe: end the batch
+                // here rather than wait while holding unfreed entries.
+                break;
+            }
+            // Stay causal in virtual time: a batch cannot start before its
+            // entries were committed.
+            let slot = (seq % stripe.capacity()) as usize;
+            clock.advance_to(SimTime::from_nanos(
+                stripe.commit_stamps[slot].load(Ordering::Acquire),
+            ));
 
-            for i in 0..group_len {
-                let e = stripe.read_header(seq + i);
-                let opened = shared
-                    .opened_by_slot(e.fd_slot)
-                    .expect("entry references a closed fd: close must drain first");
+            for (i, (e, opened, pages)) in group.into_iter().enumerate() {
                 // Entries at the tail were written recently by the
                 // application; their lines are still in the CPU caches, so
                 // the read is not charged against the NVMM media (which
                 // would otherwise serialize the cleanup worker's far-future
                 // timeline against in-flight application flushes).
-                let data = stripe.read_data_cached(seq + i, e.len as usize);
-                let pages = shared.pages_of(e.file_off, e.len as usize);
-                let first_page = pages.start;
-                let descs: Vec<_> = match opened.file.radix.get() {
-                    Some(radix) => pages.map(|p| radix.get_or_create(p)).collect(),
-                    None => Vec::new(),
-                };
-                if ordered_handoff && !wait_for_handoff(&shared, stripe, &descs, e.seq) {
+                let data = stripe.read_data_cached(seq + i as u64, e.len as usize);
+                if ordered_handoff
+                    && !wait_for_handoff(&shared, stripe, &pages, e.seq, |s| {
+                        was_submitted(&submitted, s)
+                    })
+                {
                     if shared.kill.load(Ordering::Acquire) {
                         return; // killed while waiting
                     }
@@ -202,16 +228,8 @@ pub(crate) fn run_cleanup(shared: Arc<Shared>, stripe_idx: usize) {
                 // while the kernel copy is being updated (paper §II-D). The
                 // write itself executes here (submission order is execution
                 // order); only its completion time is deferred to the reap.
-                let mut guards = Vec::with_capacity(descs.len());
-                let mut _lock_order = Vec::with_capacity(descs.len());
-                for (j, d) in descs.iter().enumerate() {
-                    _lock_order.push(shared.lockcheck.acquire_page(
-                        crate::lockcheck::Class::PageCleanup,
-                        opened.file.file_id,
-                        first_page + j as u64,
-                    ));
-                    guards.push(d.lock_cleanup());
-                }
+                let locks =
+                    pages.lock(&shared.lockcheck, Class::PageCleanup, PageDescriptor::lock_cleanup);
                 let backend = opened.backend as usize;
                 let cqe = rings[backend].submit_pwrite(
                     opened.inner_fd,
@@ -220,20 +238,18 @@ pub(crate) fn run_cleanup(shared: Arc<Shared>, stripe_idx: usize) {
                     e.seq,
                     clock.now(),
                 );
-                let failed = cqe.result.is_err();
                 shard_stats.uring_submitted.fetch_add(1, Ordering::Relaxed);
-                if failed {
-                    drop(guards);
+                if cqe.result.is_err() {
                     batch_failed = true;
                     break;
                 }
-                for d in &descs {
+                for d in pages.descs() {
                     d.dec_dirty();
-                    if ordered_handoff {
-                        d.pop_propagation(e.seq);
-                    }
                 }
-                drop(guards);
+                drop(locks);
+                if ordered_handoff {
+                    submitted.push((e.seq, pages));
+                }
                 if !touched_fds.contains(&(opened.backend, opened.inner_fd)) {
                     touched_fds.push((opened.backend, opened.inner_fd));
                 }
@@ -295,6 +311,12 @@ pub(crate) fn run_cleanup(shared: Arc<Shared>, stripe_idx: usize) {
         // Phase 3: the whole batch (writes and fsyncs) has landed — only now
         // may the tail advance past it.
         stripe.free_range(tail, consumed, &clock);
+        // Only now may these pages' next entries, in any stripe, propagate.
+        for (gseq, pages) in submitted {
+            for d in pages.descs() {
+                d.pop_propagation(gseq);
+            }
+        }
         shared.stats.cleanup_batches.fetch_add(1, Ordering::Relaxed);
         shard_stats.cleanup_batches.fetch_add(1, Ordering::Relaxed);
         shared.drain_zombies(&clock);
@@ -319,44 +341,51 @@ fn poison(shared: &Shared, stripe_idx: usize, errors: u64) {
     shared.log.notify_work_all();
 }
 
-/// Cross-stripe per-page ordering: blocks until `gseq` is the oldest
-/// pending entry for every page in `descs`. Only entries with smaller
-/// global sequence numbers can be ahead, and those sit at (or drain
-/// towards) other stripes' tails; registering as a handoff waiter makes
-/// those stripes run batches even below `batch_min`, so the wait always
-/// terminates. The override distorts the batching policy only while a
-/// waiter exists — which requires page-straddling writes whose entries
-/// split across stripes; entry-aligned workloads (e.g. the Fig. 6 sweep)
-/// never trigger it. Returns `false` if the cache was killed while
-/// waiting, or if the handoff can provably never complete because a
-/// sequence number it is waiting on is pending inside a *poisoned* stripe
-/// (whose worker is gone). A poisoned stripe elsewhere in the log does not
-/// degrade this one: after a grace period of parked waits the blocking
-/// sequence numbers are located by scanning the poisoned stripes' pending
-/// windows, and the wait continues whenever they sit in healthy stripes.
+/// Whether `gseq` is among the batch's `submitted` entries.
+fn was_submitted(submitted: &[(u64, PageSet)], gseq: u64) -> bool {
+    submitted.binary_search_by_key(&gseq, |&(g, _)| g).is_ok()
+}
+
+/// Whether entry `gseq` may propagate: it is queued on every page in
+/// `pages` with nothing but entries `own` accepts (this worker's) ahead.
+fn handoff_ready(pages: &PageSet, gseq: u64, own: impl Fn(u64) -> bool) -> bool {
+    pages.descs().all(|d| d.propagation_ready(gseq, &own))
+}
+
+/// Cross-stripe per-page ordering: blocks until [`handoff_ready`]. Only
+/// entries with smaller global sequence numbers can be ahead, held by other
+/// stripes that free them without waiting on this one; registering as a
+/// handoff waiter makes those stripes run batches even below `batch_min`,
+/// so the wait always terminates. The override distorts the batching
+/// policy only while a waiter exists — which requires page-straddling
+/// writes whose entries split across stripes; entry-aligned workloads
+/// (e.g. the Fig. 6 sweep) never trigger it. Returns `false` if the cache
+/// was killed while waiting, or if the handoff can provably never complete
+/// because a sequence number it is waiting on is pending inside a
+/// *poisoned* stripe (whose worker is gone). A poisoned stripe elsewhere in
+/// the log does not degrade this one: after a grace period of parked waits
+/// the blocking sequence numbers are located by scanning the poisoned
+/// stripes' pending windows, and the wait continues whenever they sit in
+/// healthy stripes.
 fn wait_for_handoff(
     shared: &Shared,
-    stripe: &crate::log::Stripe,
-    descs: &[Arc<crate::pagedesc::PageDescriptor>],
+    stripe: &Stripe,
+    pages: &PageSet,
     gseq: u64,
+    own: impl Fn(u64) -> bool,
 ) -> bool {
     /// Parked (condvar, ~1 ms each) waits between scans of the poisoned
     /// stripes' windows once a poisoned stripe has been observed.
     const POISON_GRACE_PARKS: u32 = 64;
-    let at_front = |descs: &[Arc<crate::pagedesc::PageDescriptor>]| {
-        descs
-            .iter()
-            .all(|d| matches!(d.propagation_front(), Some(front) if front >= gseq))
-    };
-    if at_front(descs) {
-        return true; // fast path: already at every front
+    if handoff_ready(pages, gseq, &own) {
+        return true; // fast path: nothing else ahead
     }
     shared.log.handoff_waiters.fetch_add(1, Ordering::AcqRel);
     shared.log.notify_work_all();
     let mut spins = 0u32;
     let mut poison_parks = 0u32;
     let survived = loop {
-        if at_front(descs) {
+        if handoff_ready(pages, gseq, &own) {
             break true;
         }
         if shared.kill.load(Ordering::Acquire) {
@@ -364,7 +393,7 @@ fn wait_for_handoff(
         }
         if poison_parks > POISON_GRACE_PARKS {
             poison_parks = 0;
-            if blocked_by_poisoned_stripe(shared, descs, gseq) {
+            if blocked_by_poisoned_stripe(shared, pages, gseq) {
                 break false;
             }
             // The blocking entries sit in healthy stripes — their workers
@@ -394,14 +423,10 @@ fn wait_for_handoff(
 /// be popped and the waiter must give up. Pending entries always live in
 /// some stripe's window until freed, so a miss here means the blocker is
 /// in a healthy stripe (or was popped concurrently — the caller's
-/// `at_front` re-check picks that up). Only runs on the degraded path.
-fn blocked_by_poisoned_stripe(
-    shared: &Shared,
-    descs: &[Arc<crate::pagedesc::PageDescriptor>],
-    gseq: u64,
-) -> bool {
-    let blockers: Vec<u64> = descs
-        .iter()
+/// `handoff_ready` re-check picks that up). Only runs on the degraded path.
+fn blocked_by_poisoned_stripe(shared: &Shared, pages: &PageSet, gseq: u64) -> bool {
+    let blockers: Vec<u64> = pages
+        .descs()
         .filter_map(|d| d.propagation_front())
         .filter(|&front| front < gseq)
         .collect();

@@ -49,10 +49,14 @@
 //!    allocating, so per-page global order equals acknowledgement order.
 //! 3. **Ordered propagation handoff** — entries touching the same page may
 //!    live in different stripes; each [`PageDescriptor`] carries a queue of
-//!    pending global sequence numbers, and a cleanup worker propagates an
-//!    entry only once it heads the queue of every page it touches. A worker
-//!    therefore only waits for *smaller* sequence numbers sitting at other
-//!    stripes' tails — no cycles, no cross-stripe serialization of
+//!    the global sequence numbers of its *unfreed* entries. Per-page order
+//!    must hold when entries are freed, not only when they are propagated:
+//!    a cleanup worker propagates an entry only once nothing but its own
+//!    batch is ahead of it in the queue of every page it touches, and pops
+//!    the batch's entries only after freeing them. A worker never waits
+//!    while holding unfreed entries (an entry that would wait ends the
+//!    batch), so it only waits for *smaller* sequence numbers held by
+//!    other stripes — no cycles, no cross-stripe serialization of
 //!    unrelated pages.
 //! 4. **Merge-replay recovery** — each stripe is scanned from its own
 //!    persistent tail (a sorted run, by invariant 2) and the committed
@@ -92,8 +96,7 @@
 //!
 //! Mounting goes through [`NvCache::builder`]: pick the NVMM region, the
 //! inner backend(s), the configuration and the [`Mount`] mode, then
-//! [`mount`](NvCacheBuilder::mount). The original `format`/`recover`
-//! constructors remain as deprecated wrappers.
+//! [`mount`](NvCacheBuilder::mount).
 //!
 //! A **tiered** stack supplies several backends and a [`Router`] that maps
 //! each file to one of them (hot files over NOVA, cold bulk over ext4+HDD —
@@ -159,12 +162,11 @@
 //! overhead), rings [`QueuePair::ring_doorbell`] to make everything
 //! submitted durable in one **batch-reserved** stripe window per routed
 //! stripe (one fence pair per stripe group instead of one per write), and
-//! reaps completions with [`QueuePair::reap`]. Heat and statistics
+//! reaps completions with [`QueuePair::reap`]. A synchronous write is the
+//! same commit routine run on a window of one. Heat and statistics
 //! accumulate per queue pair and flush on reap, so [`HeatPolicy`] and
 //! [`NvCacheStats`] observe exactly the synchronous path's values.
-//! `sq_pairs = 0` (the default) does not construct the front-end and keeps
-//! the synchronous path byte- and virtual-time-identical to the seed
-//! (oracle-tested).
+//! `sq_pairs = 0` (the default) does not construct the front-end.
 //!
 //! ## Quick start
 //!
@@ -219,10 +221,11 @@ mod heat_tests;
 #[cfg(test)]
 mod migrate_tests;
 #[cfg(test)]
-#[allow(deprecated)] // the legacy format/recover wrappers stay under test
 mod tests;
 #[cfg(test)]
 mod tiering_tests;
+#[cfg(test)]
+mod write_path_tests;
 
 pub use builder::{LayeredTier, Mount, NvCacheBuilder};
 pub use cache::NvCache;

@@ -77,7 +77,7 @@ impl Class {
     }
 }
 
-pub(crate) use imp::Recorder;
+pub(crate) use imp::{Held, Recorder};
 
 #[cfg(not(feature = "pmcheck"))]
 mod imp {

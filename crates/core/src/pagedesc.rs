@@ -4,9 +4,14 @@
 //! write order at the inner file system.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard};
+
+use crate::files::FileState;
+use crate::lockcheck::{Class, Held, Recorder};
 
 /// The state of a cached page (paper Table II / Fig. 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,11 +48,13 @@ pub struct PageSlot {
 /// unstable value because the dirty-miss procedure requires both locks.
 ///
 /// With a striped log the descriptor additionally carries the **propagation
-/// queue**: the global sequence numbers of pending log entries touching this
-/// page, in commit order (writers enqueue under the atomic lock). A cleanup
-/// worker may only propagate an entry once it reaches the queue front, which
-/// restores cross-stripe per-page write ordering at the inner file system
-/// without serializing unrelated pages. Single-stripe logs never touch it.
+/// queue**: the global sequence numbers of unfreed log entries touching this
+/// page, in commit order (writers enqueue under the atomic lock, cleanup
+/// workers pop once the entry's batch is freed). A cleanup worker may only
+/// propagate an entry once nothing but its own batch is ahead of it, which
+/// keeps cross-stripe per-page write order at the inner file system *and*
+/// in what the log still holds, without serializing unrelated pages.
+/// Single-stripe logs never touch it.
 #[derive(Debug)]
 pub struct PageDescriptor {
     file_id: u64,
@@ -128,13 +135,28 @@ impl PageDescriptor {
         q.push_back(gseq);
     }
 
-    /// The oldest pending entry for this page, if any (cleanup handoff).
+    /// The oldest unfreed entry for this page, if any.
     pub fn propagation_front(&self) -> Option<u64> {
         self.prop_queue.lock().front().copied()
     }
 
-    /// Removes `gseq` from the queue front once the entry has been
-    /// propagated (cleanup path, under the cleanup lock).
+    /// Whether `gseq` is queued with only entries `own` accepts ahead of
+    /// it — the cleanup handoff's test. A committed entry may not be queued
+    /// yet: its writer enqueues after the commit.
+    pub fn propagation_ready(&self, gseq: u64, own: impl Fn(u64) -> bool) -> bool {
+        for &s in self.prop_queue.lock().iter() {
+            if s == gseq {
+                return true;
+            }
+            if !own(s) {
+                return false;
+            }
+        }
+        false
+    }
+
+    /// Removes `gseq` from the queue front once the entry's cleanup batch
+    /// has been freed.
     ///
     /// # Panics
     ///
@@ -167,6 +189,78 @@ impl PageDescriptor {
         } else {
             PageState::UnloadedClean
         }
+    }
+}
+
+/// The page descriptors one operation locks, keyed `(file_id, page)`,
+/// sorted and de-duplicated. Locking in this order is the one global page
+/// lock order every path shares — writers, readers, close and the cleanup
+/// workers — so no two of them can deadlock on pages.
+pub(crate) struct PageSet(Vec<((u64, u64), Arc<PageDescriptor>)>);
+
+impl PageSet {
+    /// `file`'s pages in `pages` (none for a file never opened for writing:
+    /// it has no radix tree and so no page state).
+    pub fn of(file: &FileState, pages: Range<u64>) -> PageSet {
+        let Some(radix) = file.radix.get() else { return PageSet(Vec::new()) };
+        PageSet(pages.map(|p| ((file.file_id, p), radix.get_or_create(p))).collect())
+    }
+
+    /// The union of `(file, page)` pairs of writable files.
+    pub fn union<'a>(pages: impl Iterator<Item = (&'a FileState, u64)>) -> PageSet {
+        let mut set: Vec<_> = pages
+            .map(|(file, p)| {
+                let radix = file.radix.get().expect("writable open creates the radix tree");
+                ((file.file_id, p), radix.get_or_create(p))
+            })
+            .collect();
+        set.sort_unstable_by_key(|&(key, _)| key);
+        set.dedup_by_key(|(key, _)| *key);
+        PageSet(set)
+    }
+
+    /// The descriptors, in lock order.
+    pub fn descs(&self) -> impl Iterator<Item = &Arc<PageDescriptor>> {
+        self.0.iter().map(|(_, d)| d)
+    }
+
+    /// Locks every page in order with `lock` (the atomic or the cleanup
+    /// lock), reporting each acquisition to `lockcheck` as `class`.
+    #[track_caller]
+    pub fn lock<'a, G>(
+        &'a self,
+        lockcheck: &Recorder,
+        class: Class,
+        lock: impl Fn(&'a PageDescriptor) -> G,
+    ) -> PageLocks<'a, G> {
+        let mut guards = Vec::with_capacity(self.0.len());
+        let mut held = Vec::with_capacity(self.0.len());
+        for ((file_id, page), d) in &self.0 {
+            held.push(lockcheck.acquire_page(class, *file_id, *page));
+            guards.push(lock(d));
+        }
+        PageLocks { pages: &self.0, guards, _held: held }
+    }
+}
+
+/// The locked pages of a [`PageSet`]: `guards[i]` guards the `i`-th page.
+pub(crate) struct PageLocks<'a, G> {
+    pages: &'a [((u64, u64), Arc<PageDescriptor>)],
+    pub guards: Vec<G>,
+    _held: Vec<Held>,
+}
+
+impl<G> PageLocks<'_, G> {
+    /// Index of `(file_id, page)`, which must be in the set.
+    pub fn index(&self, file_id: u64, page: u64) -> usize {
+        self.pages
+            .binary_search_by_key(&(file_id, page), |&(key, _)| key)
+            .expect("page is in the locked set")
+    }
+
+    /// The `i`-th page's descriptor.
+    pub fn desc(&self, i: usize) -> &PageDescriptor {
+        &self.pages[i].1
     }
 }
 

@@ -24,10 +24,10 @@
 //!   through *different* stripes never commit out of submission order
 //!   (the propagation queues replay per page in ascending global sequence;
 //!   see `lib.rs` invariant 3).
-//! * Page locks are taken in globally sorted `(file_id, page_no)` order —
-//!   the same ascending order the synchronous write path uses within a
-//!   file — so doorbells, synchronous writers and the dirty-miss path
-//!   cannot deadlock.
+//! * Page locks are taken through the same sorted `(file_id, page_no)`
+//!   helper every path uses, so doorbells, synchronous writers, readers and
+//!   the cleanup workers cannot deadlock. Each reservation window commits
+//!   through the synchronous write's own routine.
 //! * Heat, migrator observations and operation counters accumulate locally
 //!   in the pair and flush on [`reap`](QueuePair::reap) (or drop), keeping
 //!   [`HeatPolicy`](crate::HeatPolicy) decisions and
@@ -40,12 +40,15 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use parking_lot::MutexGuard;
 use simclock::{ActorClock, SimTime};
 use vfs::{Fd, IoError, IoResult};
 
-use crate::cache::{NvCache, Shared};
+use crate::cache::{NvCache, Shared, Write, WriteSink};
 use crate::files::{FileState, OpenedFile};
-use crate::pagedesc::PageDescriptor;
+use crate::lockcheck::Class;
+use crate::log::Stripe;
+use crate::pagedesc::{PageDescriptor, PageLocks, PageSet, PageSlot};
 use crate::stats::SQ_BATCH_BUCKETS;
 
 /// A completion queue entry: the asynchronous result of one submitted
@@ -78,9 +81,24 @@ struct Sqe {
     op: SqeOp,
 }
 
-/// Deferred counters, flushed into the mount-wide [`crate::NvCacheStats`]
-/// on reap/drop so the hot path touches no shared cache lines.
+impl Sqe {
+    /// The write this entry carries (flushes never reach the commit path).
+    fn write(&self) -> Write<'_> {
+        let SqeOp::Write { ref data, off } = self.op else {
+            unreachable!("flush barriers are split off before the commit path")
+        };
+        Write { opened: &self.opened, data, off }
+    }
+}
+
+/// Deferred counters and heat, flushed into the mount-wide
+/// [`crate::NvCacheStats`] and file temperatures on reap/drop so the hot
+/// path touches no shared cache lines.
 struct PendingStats {
+    /// Whether the mount tracks heat at all.
+    track_heat: bool,
+    /// Deferred `(file, commit instant)` heat touches.
+    heat: Vec<(Arc<FileState>, SimTime)>,
     writes: u64,
     bytes_logged: u64,
     entries_logged: u64,
@@ -93,8 +111,10 @@ struct PendingStats {
 }
 
 impl PendingStats {
-    fn new(shards: usize) -> PendingStats {
+    fn new(shards: usize, track_heat: bool) -> PendingStats {
         PendingStats {
+            track_heat,
+            heat: Vec::new(),
             writes: 0,
             bytes_logged: 0,
             entries_logged: 0,
@@ -104,6 +124,30 @@ impl PendingStats {
             sq_doorbells: 0,
             sq_batch_hist: [0; SQ_BATCH_BUCKETS],
             cq_reap_lag: 0,
+        }
+    }
+}
+
+/// The queue pair's sink: heat at the window's commit instant and
+/// counters, both held until the next reap.
+impl WriteSink for PendingStats {
+    fn committed(
+        &mut self,
+        write: &Write<'_>,
+        k: u64,
+        stripe: usize,
+        done: SimTime,
+        _: &ActorClock,
+    ) {
+        if self.track_heat {
+            self.heat.push((Arc::clone(&write.opened.file), done));
+        }
+        self.writes += 1;
+        self.bytes_logged += write.data.len() as u64;
+        self.entries_logged += k;
+        self.per_shard_entries[stripe] += k;
+        if k > 1 {
+            self.groups_logged += 1;
         }
     }
 }
@@ -157,8 +201,6 @@ pub struct QueuePair {
     sq: Vec<Sqe>,
     cq: VecDeque<Completion>,
     acc: PendingStats,
-    /// Deferred `(file, commit instant)` heat touches, applied on reap.
-    heat: Vec<(Arc<FileState>, SimTime)>,
 }
 
 impl QueuePair {
@@ -175,16 +217,8 @@ impl QueuePair {
         if shared.sq_taken[index].swap(true, Ordering::AcqRel) {
             return Err(IoError::Busy(format!("queue pair {index} is already claimed")));
         }
-        let shards = shared.cfg.log_shards;
-        Ok(QueuePair {
-            shared,
-            index,
-            next_user_data: 0,
-            sq: Vec::new(),
-            cq: VecDeque::new(),
-            acc: PendingStats::new(shards),
-            heat: Vec::new(),
-        })
+        let acc = PendingStats::new(shared.cfg.log_shards, shared.track_heat);
+        Ok(QueuePair { shared, index, next_user_data: 0, sq: Vec::new(), cq: VecDeque::new(), acc })
     }
 
     /// The pair's index (the `index` passed to [`NvCache::queue_pair`]).
@@ -225,6 +259,13 @@ impl QueuePair {
         self.shared.in_flight[opened.slot as usize].fetch_sub(1, Ordering::AcqRel);
     }
 
+    /// Completes `sqe` with `result` at `at`, releasing its in-flight count.
+    fn complete(&mut self, sqe: Sqe, result: IoResult<usize>, at: SimTime) {
+        self.exit(&sqe.opened);
+        self.cq
+            .push_back(Completion { user_data: sqe.user_data, result, completed_at: at });
+    }
+
     /// Queues a positional write. Costs only the memcpy into the
     /// submission ring (at [`crate::NvCacheConfig::copy_bandwidth`]) — no libc
     /// crossing, no fence; durability is deferred to the next
@@ -245,34 +286,22 @@ impl QueuePair {
         clock: &ActorClock,
     ) -> IoResult<u64> {
         let opened = self.enter(fd)?;
-        if !opened.flags.writable() {
+        if let Err(e) = self.shared.admit_write(&opened, data.len(), off, None) {
             self.exit(&opened);
-            return Err(IoError::PermissionDenied("fd opened read-only".into()));
-        }
-        let k = data.len().div_ceil(self.shared.cfg.entry_size) as u64;
-        let stripe = self.shared.log.route(opened.file.dev_ino, off);
-        if k > stripe.capacity() {
-            self.exit(&opened);
-            return Err(IoError::InvalidArgument(format!(
-                "write of {} bytes cannot fit a {}-entry log stripe",
-                data.len(),
-                stripe.capacity()
-            )));
+            return Err(e);
         }
         let user_data = self.next_user_data;
         self.next_user_data += 1;
         self.acc.sq_submitted += 1;
+        let sqe = Sqe { user_data, opened, op: SqeOp::Write { data: data.into(), off } };
         if data.is_empty() {
             // Nothing to log: complete immediately (the synchronous path's
             // early return).
-            self.exit(&opened);
-            self.cq
-                .push_back(Completion { user_data, result: Ok(0), completed_at: clock.now() });
+            self.complete(sqe, Ok(0), clock.now());
             return Ok(user_data);
         }
         clock.advance(self.shared.cfg.copy_bandwidth.time_for(data.len() as u64));
-        self.sq
-            .push(Sqe { user_data, opened, op: SqeOp::Write { data: data.into(), off } });
+        self.sq.push(sqe);
         Ok(user_data)
     }
 
@@ -319,13 +348,14 @@ impl QueuePair {
         let mut sub: Vec<Sqe> = Vec::new();
         let mut touched: HashMap<(u64, u64), usize> = HashMap::new();
         for sqe in batch {
-            let SqeOp::Write { ref data, off } = sqe.op else {
+            if matches!(sqe.op, SqeOp::Flush) {
                 flushes.push(sqe);
                 continue;
-            };
-            let sidx = shared.log.route(sqe.opened.file.dev_ino, off).index;
-            let file_id = sqe.opened.file.file_id;
-            let pages = shared.pages_of(off, data.len());
+            }
+            let w = sqe.write();
+            let sidx = shared.log.route(w.opened.file.dev_ino, w.off).index;
+            let file_id = w.opened.file.file_id;
+            let pages = shared.pages_of(w.off, w.data.len());
             let conflict =
                 pages.clone().any(|p| touched.get(&(file_id, p)).is_some_and(|&s| s != sidx));
             if conflict {
@@ -342,66 +372,31 @@ impl QueuePair {
         // Flush barriers complete once the whole doorbell is durable.
         let now = clock.now();
         for f in flushes {
-            self.exit(&f.opened);
-            self.cq.push_back(Completion {
-                user_data: f.user_data,
-                result: Ok(0),
-                completed_at: now,
-            });
+            self.complete(f, Ok(0), now);
         }
         consumed
     }
 
     /// Commits one conflict-free sub-batch: lock the union of its pages in
-    /// sorted order, then per stripe group reserve → fill → commit with one
-    /// fence pair → bookkeeping in window order.
+    /// the global page order, then per stripe group commit each
+    /// reservation window through [`Shared::commit_window`].
     fn run_sub_batch(&mut self, sub: Vec<Sqe>, clock: &ActorClock) {
         if sub.is_empty() {
             return;
         }
         let shared = Arc::clone(&self.shared);
-        let es = shared.cfg.entry_size;
-
-        // Page descriptors for the whole sub-batch, locked in globally
-        // sorted (file_id, page_no) order — consistent with the ascending
-        // per-file order of the synchronous write path.
-        let mut keys: Vec<((u64, u64), Arc<PageDescriptor>)> = Vec::new();
-        {
-            let mut seen: std::collections::HashSet<(u64, u64)> = std::collections::HashSet::new();
-            for sqe in &sub {
-                let SqeOp::Write { ref data, off } = sqe.op else { unreachable!() };
-                let file = &sqe.opened.file;
-                let radix = file.radix.get().expect("writable open creates the radix tree");
-                for p in shared.pages_of(off, data.len()) {
-                    if seen.insert((file.file_id, p)) {
-                        keys.push(((file.file_id, p), radix.get_or_create(p)));
-                    }
-                }
-            }
-        }
-        keys.sort_by_key(|&(k, _)| k);
-        let desc_of: HashMap<(u64, u64), usize> =
-            keys.iter().enumerate().map(|(i, &(k, _))| (k, i)).collect();
-        let descs: Vec<Arc<PageDescriptor>> = keys.iter().map(|(_, d)| Arc::clone(d)).collect();
-        let mut guards = Vec::with_capacity(descs.len());
-        let mut _lock_order = Vec::with_capacity(descs.len());
-        for (i, d) in descs.iter().enumerate() {
-            let (file_id, page_no) = keys[i].0;
-            _lock_order.push(shared.lockcheck.acquire_page(
-                crate::lockcheck::Class::PageAtomic,
-                file_id,
-                page_no,
-            ));
-            guards.push(d.lock());
-        }
+        let pages = PageSet::union(sub.iter().flat_map(|sqe| {
+            let w = sqe.write();
+            shared.pages_of(w.off, w.data.len()).map(move |p| (&*sqe.opened.file, p))
+        }));
+        let mut locks = pages.lock(&shared.lockcheck, Class::PageAtomic, PageDescriptor::lock);
 
         // Group by routed stripe, first-appearance order; submission order
         // within a group (so each stripe's window replays the submitter's
         // order).
         let mut groups: Vec<(usize, Vec<Sqe>)> = Vec::new();
         for sqe in sub {
-            let SqeOp::Write { off, .. } = sqe.op else { unreachable!() };
-            let sidx = shared.log.route(sqe.opened.file.dev_ino, off).index;
+            let sidx = shared.log.route(sqe.opened.file.dev_ino, sqe.write().off).index;
             match groups.iter_mut().find(|(i, _)| *i == sidx) {
                 Some((_, v)) => v.push(sqe),
                 None => groups.push((sidx, vec![sqe])),
@@ -410,165 +405,51 @@ impl QueuePair {
 
         for (sidx, writes) in groups {
             let stripe = &shared.log.stripes[sidx];
-            let cap = stripe.capacity();
-            // Carve the group into reservation windows at write
-            // boundaries: every chunk fits the stripe (a single write
-            // already does, checked at submission).
-            let mut failed: Option<IoError> = None;
-            let mut chunk: Vec<(Sqe, u64)> = Vec::new();
-            let mut chunk_k = 0u64;
-            let mut queue: VecDeque<Sqe> = writes.into();
-            while let Some(sqe) = queue.pop_front() {
-                if let Some(e) = &failed {
-                    // The stripe refused a window (poisoned): every write
-                    // routed to it this doorbell fails the same way.
-                    let err = e.clone();
-                    self.exit(&sqe.opened);
-                    self.cq.push_back(Completion {
-                        user_data: sqe.user_data,
-                        result: Err(err),
-                        completed_at: clock.now(),
-                    });
-                    continue;
+            // Carve the group into reservation windows at write boundaries:
+            // every window fits the stripe (a single write already does,
+            // checked at submission). Once the stripe refuses a window
+            // (poisoned), every later write routed to it fails the same way.
+            let mut result = Ok(());
+            let mut window: Vec<Sqe> = Vec::new();
+            let mut window_k = 0u64;
+            for sqe in writes {
+                let k = sqe.write().data.len().div_ceil(shared.cfg.entry_size) as u64;
+                if result.is_ok() && window_k + k > stripe.capacity() {
+                    result = self.commit(stripe, &mut window, &mut locks, clock);
+                    window_k = 0;
                 }
-                let SqeOp::Write { ref data, .. } = sqe.op else { unreachable!() };
-                let k = data.len().div_ceil(es) as u64;
-                if chunk_k + k > cap {
-                    if let Err(e) =
-                        self.commit_chunk(stripe, &mut chunk, &desc_of, &descs, &mut guards, clock)
-                    {
-                        failed = Some(e);
-                    }
-                    chunk_k = 0;
-                }
-                chunk_k += k;
-                chunk.push((sqe, k));
+                window_k += k;
+                window.push(sqe);
             }
-            if failed.is_none() {
-                if let Err(e) =
-                    self.commit_chunk(stripe, &mut chunk, &desc_of, &descs, &mut guards, clock)
-                {
-                    failed = Some(e);
-                }
+            if result.is_ok() {
+                result = self.commit(stripe, &mut window, &mut locks, clock);
             }
-            if let Some(e) = failed {
-                for (sqe, _) in chunk.drain(..) {
-                    self.exit(&sqe.opened);
-                    self.cq.push_back(Completion {
-                        user_data: sqe.user_data,
-                        result: Err(e.clone()),
-                        completed_at: clock.now(),
-                    });
+            if let Err(e) = result {
+                for sqe in window {
+                    self.complete(sqe, Err(e.clone()), clock.now());
                 }
             }
         }
     }
 
-    /// Reserves one window for `chunk`, fills every write as its own
-    /// commit group, commits them all with a single fence pair, then runs
-    /// per-write bookkeeping in window order. On error (poisoned stripe)
-    /// the chunk is left untouched for the caller to fail.
-    fn commit_chunk(
+    /// Commits `window` with one fence pair and completes its writes at the
+    /// commit instant. On error (poisoned stripe) the window is left
+    /// untouched for the caller to fail.
+    fn commit(
         &mut self,
-        stripe: &crate::log::Stripe,
-        chunk: &mut Vec<(Sqe, u64)>,
-        desc_of: &HashMap<(u64, u64), usize>,
-        descs: &[Arc<PageDescriptor>],
-        guards: &mut [parking_lot::MutexGuard<'_, crate::pagedesc::PageSlot>],
+        stripe: &Stripe,
+        window: &mut Vec<Sqe>,
+        locks: &mut PageLocks<'_, MutexGuard<'_, PageSlot>>,
         clock: &ActorClock,
     ) -> IoResult<()> {
-        if chunk.is_empty() {
+        if window.is_empty() {
             return Ok(());
         }
-        let shared = Arc::clone(&self.shared);
-        let es = shared.cfg.entry_size;
-        let ps = shared.cfg.page_size as u64;
-        let k_total: u64 = chunk.iter().map(|&(_, k)| k).sum();
-        let (first_seq, first_gseq) = shared.log.reserve(stripe, k_total, clock, &shared.stats)?;
-
-        // Fill phase: every write is its own group (per-write recovery
-        // atomicity), members pointing at their leader's global slot.
-        let mut meta: Vec<(u64, u64)> = Vec::with_capacity(chunk.len());
-        let mut seq = first_seq;
-        let mut gseq = first_gseq;
-        for (sqe, k) in chunk.iter() {
-            let SqeOp::Write { ref data, off } = sqe.op else { unreachable!() };
-            let leader_slot = stripe.slot(seq);
-            for i in 0..*k as usize {
-                let part = &data[i * es..((i + 1) * es).min(data.len())];
-                let member = (i > 0).then_some(leader_slot);
-                stripe.fill_entry(
-                    seq + i as u64,
-                    gseq + i as u64,
-                    sqe.opened.slot,
-                    off + (i * es) as u64,
-                    part,
-                    *k as u32,
-                    member,
-                    clock,
-                );
-            }
-            meta.push((seq, *k));
-            seq += k;
-            gseq += k;
-        }
-        // The doorbell amortization: one pfence + one psync for the whole
-        // window instead of one pair per write.
-        stripe.commit_batch(&meta, clock);
-        let done = clock.now();
-
-        // Bookkeeping in window order, under the sub-batch's page locks:
-        // dirty counters, propagation queues (ascending gseq per page),
-        // in-place updates of loaded pages, sizes, heat and counters.
-        let ordered_handoff = !shared.log.single();
-        let mut w_gseq = first_gseq;
-        for (sqe, k) in chunk.drain(..) {
-            let Sqe { user_data, opened, op } = sqe;
-            let SqeOp::Write { data, off } = op else { unreachable!() };
-            let file = &opened.file;
-            for i in 0..k as usize {
-                let e_off = off + (i * es) as u64;
-                let e_len = ((i + 1) * es).min(data.len()) - i * es;
-                for p in shared.pages_of(e_off, e_len) {
-                    let di = desc_of[&(file.file_id, p)];
-                    descs[di].inc_dirty();
-                    if ordered_handoff {
-                        descs[di].enqueue_propagation(w_gseq + i as u64);
-                    }
-                }
-            }
-            let mut updated = 0u64;
-            for p in shared.pages_of(off, data.len()) {
-                let di = desc_of[&(file.file_id, p)];
-                if let Some(content) = guards[di].content.as_mut() {
-                    let page_start = p * ps;
-                    let s = off.max(page_start);
-                    let e = (off + data.len() as u64).min(page_start + ps);
-                    content[(s - page_start) as usize..(e - page_start) as usize]
-                        .copy_from_slice(&data[(s - off) as usize..(e - off) as usize]);
-                    updated += e - s;
-                }
-                descs[di].mark_accessed();
-            }
-            if updated > 0 {
-                clock.advance(shared.cfg.copy_bandwidth.time_for(updated));
-            }
-            file.size.fetch_max(off + data.len() as u64, Ordering::AcqRel);
-            file.writes.fetch_add(1, Ordering::Relaxed); // access heat for the migrator
-            if shared.track_heat {
-                self.heat.push((Arc::clone(file), done));
-            }
-            self.acc.writes += 1;
-            self.acc.bytes_logged += data.len() as u64;
-            self.acc.entries_logged += k;
-            self.acc.per_shard_entries[stripe.index] += k;
-            if k > 1 {
-                self.acc.groups_logged += 1;
-            }
-            self.exit(&opened);
-            self.cq
-                .push_back(Completion { user_data, result: Ok(data.len()), completed_at: done });
-            w_gseq += k;
+        let writes: Vec<Write<'_>> = window.iter().map(Sqe::write).collect();
+        let done = self.shared.commit_window(stripe, &writes, locks, &mut self.acc, clock)?;
+        for sqe in window.drain(..) {
+            let len = sqe.write().data.len();
+            self.complete(sqe, Ok(len), done);
         }
         Ok(())
     }
@@ -589,11 +470,8 @@ impl QueuePair {
     }
 
     fn apply_heat(&mut self) {
-        if self.heat.is_empty() {
-            return;
-        }
-        let shared = Arc::clone(&self.shared);
-        for (file, t) in self.heat.drain(..) {
+        let shared = &self.shared;
+        for (file, t) in self.acc.heat.drain(..) {
             file.touch_heat(t, shared.heat_half_life);
             shared.migrator.observe_time(t);
         }

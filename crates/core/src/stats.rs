@@ -222,21 +222,10 @@ pub struct NvCacheStats {
 }
 
 impl NvCacheStats {
-    /// Counters for a log with `shards` stripes (single backend).
-    pub fn with_shards(shards: usize) -> NvCacheStats {
-        Self::with_topology(shards, 1)
-    }
-
-    /// Counters for a log with `shards` stripes propagating to `backends`
-    /// inner file systems.
-    pub fn with_topology(shards: usize, backends: usize) -> NvCacheStats {
-        Self::with_front_end(shards, backends, 0)
-    }
-
-    /// Counters for the full topology: `shards` stripes, `backends` inner
-    /// file systems, and `queues` submission/completion queue pairs (`0` =
-    /// no multi-queue front-end).
-    pub fn with_front_end(shards: usize, backends: usize, queues: usize) -> NvCacheStats {
+    /// Counters for `shards` log stripes, `backends` inner file systems and
+    /// `queues` submission/completion queue pairs (`0` = no multi-queue
+    /// front-end).
+    pub fn new(shards: usize, backends: usize, queues: usize) -> NvCacheStats {
         let mut per_shard = Vec::with_capacity(shards.max(1));
         per_shard.resize_with(shards.max(1), ShardStats::default);
         let mut per_backend = Vec::with_capacity(backends.max(1));
@@ -314,7 +303,7 @@ impl NvCacheStats {
 
 impl Default for NvCacheStats {
     fn default() -> Self {
-        NvCacheStats::with_shards(1)
+        NvCacheStats::new(1, 1, 0)
     }
 }
 
@@ -395,7 +384,7 @@ mod tests {
 
     #[test]
     fn per_shard_counters_snapshot_independently() {
-        let s = NvCacheStats::with_shards(3);
+        let s = NvCacheStats::new(3, 1, 0);
         assert_eq!(s.per_shard.len(), 3);
         s.per_shard[1].entries_propagated.store(7, Ordering::Relaxed);
         s.per_shard[2].log_full_waits.store(2, Ordering::Relaxed);
@@ -413,7 +402,7 @@ mod tests {
 
     #[test]
     fn per_backend_counters_follow_the_topology() {
-        let s = NvCacheStats::with_topology(2, 3);
+        let s = NvCacheStats::new(2, 3, 0);
         assert_eq!(s.per_shard.len(), 2);
         assert_eq!(s.per_backend_propagated.len(), 3);
         s.per_backend_propagated[2].store(5, Ordering::Relaxed);
@@ -422,8 +411,8 @@ mod tests {
 
     #[test]
     fn per_queue_counters_follow_the_front_end() {
-        assert!(NvCacheStats::with_topology(2, 1).per_queue.is_empty());
-        let s = NvCacheStats::with_front_end(1, 1, 4);
+        assert!(NvCacheStats::new(2, 1, 0).per_queue.is_empty());
+        let s = NvCacheStats::new(1, 1, 4);
         assert_eq!(s.per_queue.len(), 4);
         s.per_queue[3].sq_submitted.store(9, Ordering::Relaxed);
         s.per_queue[3].sq_batch_hist[2].store(1, Ordering::Relaxed);

@@ -4,17 +4,43 @@ use std::sync::Arc;
 
 use nvmm::{NvDimm, NvRegion, NvmmProfile};
 use simclock::{ActorClock, SimTime};
-use vfs::{FileSystem, IoError, Layer, MemFs, OpenFlags};
+use vfs::{FileSystem, IoError, IoResult, Layer, MemFs, OpenFlags};
 
-use crate::{NvCache, NvCacheConfig};
+use crate::{Mount, NvCache, NvCacheConfig, RecoveryReport};
+
+/// Formats `region` as a fresh log over `inner`.
+fn format(
+    region: NvRegion,
+    inner: Arc<dyn FileSystem>,
+    cfg: NvCacheConfig,
+    clock: &ActorClock,
+) -> IoResult<NvCache> {
+    NvCache::builder(region).backend(inner).config(cfg).mount(clock)
+}
+
+/// Recovers the log in `region` over `inner`, returning the mount and its
+/// report.
+fn recover(
+    region: NvRegion,
+    inner: Arc<dyn FileSystem>,
+    cfg: NvCacheConfig,
+    clock: &ActorClock,
+) -> IoResult<(NvCache, RecoveryReport)> {
+    let cache = NvCache::builder(region)
+        .backend(inner)
+        .config(cfg)
+        .mode(Mount::Recover)
+        .mount(clock)?;
+    let report = cache.recovery_report().expect("a recover mount has a report");
+    Ok((cache, report))
+}
 
 fn setup(cfg: NvCacheConfig) -> (ActorClock, Arc<NvDimm>, Arc<dyn FileSystem>, NvCache) {
     let clock = ActorClock::new();
     let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
     let inner: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-    let cache =
-        NvCache::format(NvRegion::whole(Arc::clone(&dimm)), Arc::clone(&inner), cfg, &clock)
-            .expect("format");
+    let cache = format(NvRegion::whole(Arc::clone(&dimm)), Arc::clone(&inner), cfg, &clock)
+        .expect("format");
     (clock, dimm, inner, cache)
 }
 
@@ -160,13 +186,8 @@ fn crash_before_propagation_recovers_all_acked_writes() {
     let clock = ActorClock::new();
     let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
     let inner: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-    let cache = NvCache::format(
-        NvRegion::whole(Arc::clone(&dimm)),
-        Arc::clone(&inner),
-        cfg.clone(),
-        &clock,
-    )
-    .unwrap();
+    let cache = format(NvRegion::whole(Arc::clone(&dimm)), Arc::clone(&inner), cfg.clone(), &clock)
+        .unwrap();
     let fd = cache.open("/crash", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
     cache.pwrite(fd, b"first", 0, &clock).unwrap();
     cache.pwrite(fd, b"second", 100, &clock).unwrap();
@@ -179,7 +200,7 @@ fn crash_before_propagation_recovers_all_acked_writes() {
     // in the simulated kernel namespace).
     let crashed = Arc::new(dimm.crash_and_restart());
     let (recovered, report) =
-        NvCache::recover(NvRegion::whole(crashed), Arc::clone(&inner), cfg, &clock).unwrap();
+        recover(NvRegion::whole(crashed), Arc::clone(&inner), cfg, &clock).unwrap();
     assert_eq!(report.entries_replayed, 2);
     assert_eq!(report.files_reopened, 1);
     let fd2 = recovered.open("/crash", OpenFlags::RDONLY, &clock).unwrap();
@@ -209,7 +230,7 @@ fn torn_write_is_discarded_by_recovery() {
     let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
     let inner: Arc<dyn FileSystem> = Arc::new(MemFs::new());
     let region = NvRegion::whole(Arc::clone(&dimm));
-    let cache = NvCache::format(region.clone(), Arc::clone(&inner), cfg.clone(), &clock).unwrap();
+    let cache = format(region.clone(), Arc::clone(&inner), cfg.clone(), &clock).unwrap();
     let fd = cache.open("/torn", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
     cache.pwrite(fd, b"committed", 0, &clock).unwrap();
     cache.abort();
@@ -227,7 +248,7 @@ fn torn_write_is_discarded_by_recovery() {
 
     let crashed = Arc::new(dimm.crash_and_restart());
     let (recovered, report) =
-        NvCache::recover(NvRegion::whole(crashed), Arc::clone(&inner), cfg, &clock).unwrap();
+        recover(NvRegion::whole(crashed), Arc::clone(&inner), cfg, &clock).unwrap();
     assert_eq!(report.entries_replayed, 1, "only the committed entry replays");
     let fd2 = recovered.open("/torn", OpenFlags::RDONLY, &clock).unwrap();
     let mut buf = [0u8; 9];
@@ -359,13 +380,8 @@ fn unlinked_file_is_not_resurrected_by_recovery() {
     let clock = ActorClock::new();
     let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
     let inner: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-    let cache = NvCache::format(
-        NvRegion::whole(Arc::clone(&dimm)),
-        Arc::clone(&inner),
-        cfg.clone(),
-        &clock,
-    )
-    .unwrap();
+    let cache = format(NvRegion::whole(Arc::clone(&dimm)), Arc::clone(&inner), cfg.clone(), &clock)
+        .unwrap();
     let keep = cache.open("/keep", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
     cache.pwrite(keep, b"kept", 0, &clock).unwrap();
     let gone = cache.open("/gone", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
@@ -375,7 +391,7 @@ fn unlinked_file_is_not_resurrected_by_recovery() {
     drop(cache);
     let crashed = Arc::new(dimm.crash_and_restart());
     let (recovered, report) =
-        NvCache::recover(NvRegion::whole(crashed), Arc::clone(&inner), cfg, &clock).unwrap();
+        recover(NvRegion::whole(crashed), Arc::clone(&inner), cfg, &clock).unwrap();
     assert_eq!(report.files_missing, 1, "the unlinked file must be skipped");
     assert!(report.entries_replayed >= 1);
     assert!(
@@ -424,7 +440,7 @@ fn write_latency_is_single_digit_microseconds() {
     let clock = ActorClock::new();
     let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::optane()));
     let inner: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-    let cache = NvCache::format(NvRegion::whole(dimm), inner, cfg, &clock).unwrap();
+    let cache = format(NvRegion::whole(dimm), inner, cfg, &clock).unwrap();
     let fd = cache.open("/lat", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
     cache.pwrite(fd, &[0u8; 4096], 0, &clock).unwrap(); // warm-up (radix alloc)
     let before = clock.now();
@@ -456,26 +472,20 @@ fn recovery_is_idempotent() {
     let clock = ActorClock::new();
     let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
     let inner: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-    let cache = NvCache::format(
-        NvRegion::whole(Arc::clone(&dimm)),
-        Arc::clone(&inner),
-        cfg.clone(),
-        &clock,
-    )
-    .unwrap();
+    let cache = format(NvRegion::whole(Arc::clone(&dimm)), Arc::clone(&inner), cfg.clone(), &clock)
+        .unwrap();
     let fd = cache.open("/idem", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
     cache.pwrite(fd, b"once", 0, &clock).unwrap();
     cache.abort();
     drop(cache);
     let crashed = Arc::new(dimm.crash_and_restart());
     let region = NvRegion::whole(Arc::clone(&crashed));
-    let (first, r1) =
-        NvCache::recover(region.clone(), Arc::clone(&inner), cfg.clone(), &clock).unwrap();
+    let (first, r1) = recover(region.clone(), Arc::clone(&inner), cfg.clone(), &clock).unwrap();
     assert_eq!(r1.entries_replayed, 1);
     first.abort();
     drop(first);
     // Second recovery over the emptied log: nothing to do, content intact.
-    let (second, r2) = NvCache::recover(region, Arc::clone(&inner), cfg, &clock).unwrap();
+    let (second, r2) = recover(region, Arc::clone(&inner), cfg, &clock).unwrap();
     assert_eq!(r2.entries_replayed, 0);
     let fd2 = second.open("/idem", OpenFlags::RDONLY, &clock).unwrap();
     let mut buf = [0u8; 4];
@@ -551,13 +561,8 @@ fn sharded_crash_recovery_merges_stripes_in_commit_order() {
     let clock = ActorClock::new();
     let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
     let inner: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-    let cache = NvCache::format(
-        NvRegion::whole(Arc::clone(&dimm)),
-        Arc::clone(&inner),
-        cfg.clone(),
-        &clock,
-    )
-    .unwrap();
+    let cache = format(NvRegion::whole(Arc::clone(&dimm)), Arc::clone(&inner), cfg.clone(), &clock)
+        .unwrap();
     let fd = cache.open("/merge", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
     // A 2-page write starting at chunk 0, then single-page overwrites of
     // both halves starting at chunks 0 and 1 — three different routes, one
@@ -570,7 +575,7 @@ fn sharded_crash_recovery_merges_stripes_in_commit_order() {
     drop(cache);
     let crashed = Arc::new(dimm.crash_and_restart());
     let (recovered, report) =
-        NvCache::recover(NvRegion::whole(crashed), Arc::clone(&inner), cfg, &clock).unwrap();
+        recover(NvRegion::whole(crashed), Arc::clone(&inner), cfg, &clock).unwrap();
     assert_eq!(report.entries_replayed, 5, "2 + 1 + 1 + 1 entries");
     let fd2 = recovered.open("/merge", OpenFlags::RDONLY, &clock).unwrap();
     let mut buf = vec![0u8; 8192];
@@ -589,18 +594,13 @@ fn sharded_recovery_requires_matching_shard_count() {
     let clock = ActorClock::new();
     let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
     let inner: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-    let cache = NvCache::format(
-        NvRegion::whole(Arc::clone(&dimm)),
-        Arc::clone(&inner),
-        cfg.clone(),
-        &clock,
-    )
-    .unwrap();
+    let cache = format(NvRegion::whole(Arc::clone(&dimm)), Arc::clone(&inner), cfg.clone(), &clock)
+        .unwrap();
     cache.abort();
     drop(cache);
     let crashed = Arc::new(dimm.crash_and_restart());
     let wrong = NvCacheConfig { log_shards: 2, ..cfg };
-    let res = NvCache::recover(NvRegion::whole(crashed), inner, wrong, &clock);
+    let res = recover(NvRegion::whole(crashed), inner, wrong, &clock);
     assert!(matches!(res, Err(IoError::InvalidArgument(_))));
 }
 
@@ -692,24 +692,19 @@ fn reformatting_a_sharded_region_as_single_stripe_recovers() {
     let dimm = Arc::new(NvDimm::new(sharded.required_nvmm_bytes(), NvmmProfile::instant()));
     let inner: Arc<dyn FileSystem> = Arc::new(MemFs::new());
     let first =
-        NvCache::format(NvRegion::whole(Arc::clone(&dimm)), Arc::clone(&inner), sharded, &clock)
-            .unwrap();
+        format(NvRegion::whole(Arc::clone(&dimm)), Arc::clone(&inner), sharded, &clock).unwrap();
     first.shutdown(&clock);
     drop(first);
     // Reuse the region as a plain single-stripe log.
-    let second = NvCache::format(
-        NvRegion::whole(Arc::clone(&dimm)),
-        Arc::clone(&inner),
-        single.clone(),
-        &clock,
-    )
-    .unwrap();
+    let second =
+        format(NvRegion::whole(Arc::clone(&dimm)), Arc::clone(&inner), single.clone(), &clock)
+            .unwrap();
     let fd = second.open("/reuse", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
     second.pwrite(fd, b"still recoverable", 0, &clock).unwrap();
     second.abort();
     drop(second);
     let crashed = Arc::new(dimm.crash_and_restart());
-    let (recovered, report) = NvCache::recover(NvRegion::whole(crashed), inner, single, &clock)
+    let (recovered, report) = recover(NvRegion::whole(crashed), inner, single, &clock)
         .expect("stale shard word must not block recovery");
     assert_eq!(report.entries_replayed, 1);
     recovered.shutdown(&clock);
@@ -759,7 +754,7 @@ fn recover_rejects_unformatted_region() {
     let clock = ActorClock::new();
     let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
     let inner: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-    let res = NvCache::recover(NvRegion::whole(dimm), inner, cfg, &clock);
+    let res = recover(NvRegion::whole(dimm), inner, cfg, &clock);
     assert!(matches!(res, Err(IoError::InvalidArgument(_))));
 }
 
@@ -791,8 +786,7 @@ fn inner_write_errors_poison_the_stripe_instead_of_panicking() {
     let mem: Arc<dyn FileSystem> = Arc::new(MemFs::new());
     // Every cleanup pwrite fails.
     let inner = vfs::FaultLayer::failing_pwrites(0).wrap(Arc::clone(&mem));
-    let cache =
-        NvCache::format(NvRegion::whole(Arc::clone(&dimm)), inner, cfg, &clock).expect("format");
+    let cache = format(NvRegion::whole(Arc::clone(&dimm)), inner, cfg, &clock).expect("format");
     let fd = cache.open("/poison", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
     cache.pwrite(fd, &[7u8; 4096], 0, &clock).unwrap();
     wait_for_poison(&cache);
@@ -831,8 +825,8 @@ fn crash_mid_batch_never_advances_tail_past_an_uncompleted_entry() {
     let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
     let mem: Arc<dyn FileSystem> = Arc::new(MemFs::new());
     let inner = vfs::FaultLayer::failing_pwrites(3).wrap(Arc::clone(&mem));
-    let cache = NvCache::format(NvRegion::whole(Arc::clone(&dimm)), inner, cfg.clone(), &clock)
-        .expect("format");
+    let cache =
+        format(NvRegion::whole(Arc::clone(&dimm)), inner, cfg.clone(), &clock).expect("format");
     let fd = cache.open("/midbatch", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
     for i in 0..8u64 {
         cache.pwrite(fd, &[i as u8 + 1; 4096], i * 4096, &clock).unwrap();
@@ -847,7 +841,7 @@ fn crash_mid_batch_never_advances_tail_past_an_uncompleted_entry() {
     // Crash, then recover against the (healthy) underlying file system.
     let crashed = Arc::new(dimm.crash_and_restart());
     let (recovered, report) =
-        NvCache::recover(NvRegion::whole(crashed), Arc::clone(&mem), cfg, &clock).expect("recover");
+        recover(NvRegion::whole(crashed), Arc::clone(&mem), cfg, &clock).expect("recover");
     assert_eq!(report.entries_replayed, 8, "every entry of the failed batch must replay");
     let mut buf = [0u8; 4096];
     let rfd = recovered.open("/midbatch", OpenFlags::RDONLY, &clock).unwrap();
@@ -876,8 +870,7 @@ fn sharded_drain_elapsed(queue_depth: usize) -> (SimTime, u64, Vec<u8>) {
     let inner: Arc<dyn FileSystem> =
         Arc::new(Ext4::new("ext4+ssd", ssd as Arc<dyn BlockDevice>, Ext4Profile::default()));
     let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
-    let cache =
-        NvCache::format(NvRegion::whole(dimm), Arc::clone(&inner), cfg, &clock).expect("format");
+    let cache = format(NvRegion::whole(dimm), Arc::clone(&inner), cfg, &clock).expect("format");
     // O_DIRECT inner file: cleanup propagation writes hit the SSD directly,
     // 1 MiB apart (beyond the drive's sequential window), as in Fig. 5's
     // post-saturation regime.

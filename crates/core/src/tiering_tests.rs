@@ -33,87 +33,6 @@ fn tiered_setup(cfg: NvCacheConfig, tier1: Arc<dyn FileSystem>) -> TieredRig {
     (clock, dimm, cold, tier1, cache)
 }
 
-fn region_bytes(dimm: &NvDimm) -> Vec<u8> {
-    let mut buf = vec![0u8; dimm.len() as usize];
-    dimm.read_cached(0, &mut buf);
-    buf
-}
-
-#[test]
-fn builder_single_backend_is_byte_and_timing_identical_to_format() {
-    // The oracle of the API redesign: mounting through the builder with one
-    // backend must produce exactly the persistent image and exactly the
-    // virtual timeline of the legacy `NvCache::format`. The write-path
-    // comparison parks the cleanup workers (huge batch window): the
-    // concurrent drain's batch composition races the OS scheduler, so its
-    // virtual timeline is not reproducible between *any* two runs — the
-    // deterministic surfaces are the mount itself, the application-side
-    // write path, and the persistent bytes after a full drain.
-    let cfg = NvCacheConfig {
-        nb_entries: 64,
-        batch_min: usize::MAX >> 1,
-        batch_max: usize::MAX >> 1,
-        ..NvCacheConfig::tiny()
-    };
-
-    let legacy_clock = ActorClock::new();
-    let legacy_dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::optane()));
-    #[allow(deprecated)]
-    let legacy = NvCache::format(
-        NvRegion::whole(Arc::clone(&legacy_dimm)),
-        Arc::new(MemFs::new()),
-        cfg.clone(),
-        &legacy_clock,
-    )
-    .unwrap();
-
-    let builder_clock = ActorClock::new();
-    let builder_dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::optane()));
-    let built = NvCache::builder(NvRegion::whole(Arc::clone(&builder_dimm)))
-        .backend(Arc::new(MemFs::new()))
-        .config(cfg)
-        .mount(&builder_clock)
-        .unwrap();
-
-    assert_eq!(
-        region_bytes(&legacy_dimm),
-        region_bytes(&builder_dimm),
-        "freshly formatted regions must be byte-identical"
-    );
-    assert_eq!(legacy_clock.now(), builder_clock.now(), "format timings must be identical");
-
-    // Identical write bursts, nothing draining: bytes and clocks must agree
-    // entry for entry and nanosecond for nanosecond.
-    let write_burst = |cache: &NvCache, clock: &ActorClock| {
-        let fd = cache.open("/oracle", OpenFlags::RDWR | OpenFlags::CREATE, clock).unwrap();
-        for i in 0..24u64 {
-            cache.pwrite(fd, &[i as u8 + 1; 300], i * 300, clock).unwrap();
-        }
-        fd
-    };
-    let lfd = write_burst(&legacy, &legacy_clock);
-    let bfd = write_burst(&built, &builder_clock);
-    assert_eq!(
-        region_bytes(&legacy_dimm),
-        region_bytes(&builder_dimm),
-        "logged entries must be byte-identical"
-    );
-    assert_eq!(legacy_clock.now(), builder_clock.now(), "write-path timings must be identical");
-
-    // Drain everything; the settled persistent state (cleared commit words,
-    // advanced tails) must still match byte for byte.
-    for (cache, fd, clock) in [(&legacy, lfd, &legacy_clock), (&built, bfd, &builder_clock)] {
-        cache.flush_log(clock);
-        cache.close(fd, clock).unwrap();
-        cache.shutdown(clock);
-    }
-    assert_eq!(
-        region_bytes(&legacy_dimm),
-        region_bytes(&builder_dimm),
-        "drained regions must be byte-identical"
-    );
-}
-
 #[test]
 fn single_backend_builder_mount_keeps_the_seed_header_encoding() {
     let clock = ActorClock::new();

@@ -77,6 +77,11 @@ pub struct Ext4 {
     free_slabs: Mutex<Vec<u64>>,
     journal_commits: AtomicU64,
     dev_id: u64,
+    /// Held from taking dirty pages out of the cache until they are on the
+    /// device, by `fsync` and `sync`: a concurrent `fsync` must not return
+    /// while pages another one took are still in flight, and an older copy
+    /// of a page must not reach the device after a newer one.
+    writeback: Mutex<()>,
 }
 
 impl std::fmt::Debug for Ext4 {
@@ -103,6 +108,7 @@ impl Ext4 {
             free_slabs: Mutex::new(Vec::new()),
             journal_commits: AtomicU64::new(0),
             dev_id: 0xE4,
+            writeback: Mutex::new(()),
         }
     }
 
@@ -208,6 +214,7 @@ impl Ext4 {
     }
 
     fn fsync_inode(&self, inode: &Ext4Inode, clock: &ActorClock) -> IoResult<()> {
+        let _writeback = self.writeback.lock();
         let dirty = self.cache.take_dirty(inode.ino);
         let mut targets = Vec::with_capacity(dirty.len());
         for (page, data) in dirty {
@@ -478,6 +485,7 @@ impl FileSystem for Ext4 {
 
     fn sync(&self, clock: &ActorClock) -> IoResult<()> {
         clock.advance(self.profile.costs.syscall);
+        let _writeback = self.writeback.lock();
         let dirty = self.cache.take_all_dirty();
         let by_ino: Vec<Arc<Ext4Inode>> = self.files.read().values().cloned().collect();
         for e in dirty {

@@ -29,11 +29,9 @@ const WALL_CLOCK: &[&str] = &["Instant::now", "SystemTime", "thread::sleep"];
 const ALLOW_PANIC: &[(&str, &str)] = &[
     // Invariant messages: a failure here is internal state corruption.
     ("core/src/cleanup.rs", "entry references a closed fd"),
-    ("core/src/cache.rs", "recover mode always produces a report"),
-    ("core/src/cache.rs", "writable open creates the radix tree"),
     ("core/src/cache.rs", "just installed"),
-    ("core/src/squeue.rs", "writable open creates the radix tree"),
-    ("core/src/squeue.rs", "fd checked at submission"),
+    ("core/src/pagedesc.rs", "writable open creates the radix tree"),
+    ("core/src/pagedesc.rs", "page is in the locked set"),
     // Thread spawning: no meaningful recovery from a failed spawn at mount.
     ("core/src/cache.rs", "spawn cleanup worker"),
     ("core/src/cache.rs", "spawn migration worker"),
